@@ -29,14 +29,18 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # type(...) is int also turns away bool, a subclass of int.
+        if type(self.strands) is not int:
+            raise ValueError(f"strand count must be an integer, got {self.strands!r}")
         if self.strands < 2:
             raise ValueError(f"need at least 2 strands, got {self.strands}")
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
+        top = self.strands - 1
         for g in self.letters:
-            if not 1 <= abs(g) <= self.strands - 1:
+            if type(g) is not int or not 1 <= abs(g) <= top:
                 raise ValueError(
-                    f"letter {g} is not a generator of the braid group "
+                    f"letter {g!r} is not a generator of the braid group "
                     f"on {self.strands} strands"
                 )
 

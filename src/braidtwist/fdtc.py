@@ -2,11 +2,18 @@
 
 The Dehornoy floor of a braid b is the largest integer t with
 Delta^(2t) <= b, so full twist powers get their own exponent as floor.
-The fractional Dehn twist coefficient BT(b) = lim [b^N]_D / N is pinned
-exactly from a single power: it is rational with denominator at most the
-strand count n, floors sandwich it within 1/N of [b^N]_D / N, and any
-two rationals with denominator <= n are at least 1/n^2 apart, so N =
-n^2 + 1 leaves room for exactly one candidate in the interval.
+The fractional Dehn twist coefficient BT(b) = lim [b^P]_D / P is
+rational with denominator at most the strand count n, and floors
+sandwich it: [b^P]_D / P <= BT(b) <= ([b^P]_D + 1) / P.
+
+fdtc_exact finds the power P by doubling.  The floor is a quasimorphism
+of defect 1: left invariance and the centrality of Delta^2 give
+[b]_D + [c]_D <= [bc]_D <= [b]_D + [c]_D + 1, so the floor of b^(2P) is
+twice that of b^P or one more, and one comparison per level decides
+which.  The search stops at the first P whose interval holds exactly
+one rational with denominator <= n; any two such rationals are at least
+1/(n(n-1)) apart (neighbours in the Farey sequence F_n), so the stop
+comes by the first power of two above n(n-1).
 """
 
 from __future__ import annotations
@@ -51,24 +58,17 @@ def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
         return compare(w, delta2**t, cap=cap) != OrderSign.LESS
 
     limit = 2 * len(w) + 2
-    if at_least(0):
-        lo, hi = 0, 1
-        while at_least(hi):
-            lo = hi
-            hi *= 2
-            if hi > limit:
-                raise RuntimeError(
-                    f"floor bracket grew past {limit} for a {len(w)}-letter word (engine bug)"
-                )
-    else:
-        lo, hi = -1, 0
-        while not at_least(lo):
-            hi = lo
-            lo *= 2
-            if -lo > limit:
-                raise RuntimeError(
-                    f"floor bracket grew past {limit} for a {len(w)}-letter word (engine bug)"
-                )
+    # Walk away from 0 in the direction at_least(0) points, doubling, until
+    # the predicate flips; `near` is the last t where it still matched t = 0.
+    upward = at_least(0)
+    near, far = 0, 1 if upward else -1
+    while at_least(far) == upward:
+        near, far = far, 2 * far
+        if abs(far) > limit:
+            raise RuntimeError(
+                f"floor bracket grew past {limit} for a {len(w)}-letter word (engine bug)"
+            )
+    lo, hi = (near, far) if upward else (far, near)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if at_least(mid):
@@ -96,28 +96,49 @@ def fdtc_interval(
 def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     """Exact fractional Dehn twist coefficient of the braid of w.
 
-    BT has denominator at most n, so the width-1/(n^2+1) interval from
-    fdtc_interval admits exactly one rational p/q with q <= n.  Finding
-    none (or several) means the floor computation is broken, not the
-    input.
+    Starts from f = [w]_D at P = 1 and doubles P.  By the defect-1
+    quasimorphism bound, [w^(2P)]_D is 2f or 2f + 1, so each level costs
+    one comparison of w^(2P) against Delta^(2(2f+1)).  The search stops
+    at the first P whose interval [f/P, (f+1)/P] holds exactly one
+    rational with denominator <= n; that always happens once P > n(n-1),
+    and no unique candidate by then means the engine is broken, not the
+    input.  (P = 1 never stops: [f, f+1] holds f, f + 1/2 and f + 1.)
+
+    The returned floor is certified on w^P alone by two fresh
+    comparisons, Delta^(2f) <= w^P < Delta^(2f+2), so neither the lemma
+    nor any earlier probe is trusted: a single wrong comparison anywhere
+    raises RuntimeError instead of returning a value.
     """
     n = w.strands
-    N = n * n + 1
-    f = dehornoy_floor(free_reduce(w**N), cap=cap).floor
-    lo = Fraction(f, N)
-    hi = Fraction(f + 1, N)
-    candidates = {
-        Fraction(p, q)
-        for q in range(1, n + 1)
-        for p in range(math.ceil(lo * q), math.floor(hi * q) + 1)
-    }
-    if len(candidates) != 1:
+    delta2 = garside_delta(n, squared=True)
+
+    def at_least(power: BraidWord, t: int) -> bool:
+        return compare(power, delta2**t, cap=cap) != OrderSign.LESS
+
+    P, f = 1, dehornoy_floor(free_reduce(w), cap=cap).floor
+    lo, hi = Fraction(f), Fraction(f + 1)
+    candidates: set[Fraction] = set()  # P = 1 is never unique, so no need to test it
+    while len(candidates) != 1:
+        if P > n * (n - 1):
+            raise RuntimeError(
+                f"expected exactly one rational with denominator <= {n} in "
+                f"[{lo}, {hi}], found {sorted(candidates)} (engine bug)"
+            )
+        P *= 2
+        power = free_reduce(w**P)
+        f = 2 * f + at_least(power, 2 * f + 1)
+        lo, hi = Fraction(f, P), Fraction(f + 1, P)
+        candidates = {
+            Fraction(p, q)
+            for q in range(1, n + 1)
+            for p in range(math.ceil(lo * q), math.floor(hi * q) + 1)
+        }
+    if not at_least(power, f) or at_least(power, f + 1):
         raise RuntimeError(
-            f"expected exactly one rational with denominator <= {n} in "
-            f"[{lo}, {hi}], found {sorted(candidates)} (engine bug)"
+            f"floor {f} of the power {P} failed its certificate (engine bug)"
         )
     return FdtcResult(
-        value=candidates.pop(), power_used=N, floor_of_power=f, interval=(lo, hi)
+        value=candidates.pop(), power_used=P, floor_of_power=f, interval=(lo, hi)
     )
 
 

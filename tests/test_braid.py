@@ -50,6 +50,13 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             BraidWord(1, [])
 
+    @pytest.mark.parametrize(
+        "strands, letters", [("3", (1,)), (3, (1.5,)), (3, (True,)), (True, ()), (3.0, (1,))]
+    )
+    def test_non_integer_strands_and_letters_rejected(self, strands, letters):
+        with pytest.raises(ValueError):
+            BraidWord(strands, letters)
+
     @given(words())
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, w):

@@ -2,6 +2,7 @@ import io
 import json
 from fractions import Fraction
 
+from braidtwist import BraidWord
 from braidtwist.cli import run
 
 
@@ -35,21 +36,26 @@ class TestWordCommands:
         assert run(["floor", "--strands", "3", "1 2 1 1 2 1"]) == 0
         assert lines(capsys) == ["1"]
 
-    def test_fdtc_text_with_certificate(self, capsys):
+    def test_fdtc_text_with_certificate(self, capsys, check_fdtc_certificate):
         assert run(["fdtc", "--strands", "3", "-1 -2"]) == 0
         value, certificate = lines(capsys)
         assert value == "-1/3"
         assert certificate.startswith("certificate ")
         payload = json.loads(certificate.removeprefix("certificate "))
-        assert payload["N"] == 10
-        assert Fraction(payload["lo"]) <= Fraction(-1, 3) <= Fraction(payload["hi"])
+        check_fdtc_certificate(
+            BraidWord(3, [-1, -2]), Fraction(value), payload["N"], payload["floor"],
+            Fraction(payload["lo"]), Fraction(payload["hi"]),
+        )
 
-    def test_fdtc_json(self, capsys):
+    def test_fdtc_json(self, capsys, check_fdtc_certificate):
         assert run(["fdtc", "--strands", "3", "--json", "-1 -2"]) == 0
         record = json.loads(lines(capsys)[0])
         assert Fraction(record["value"]) == Fraction(-1, 3)
         cert = record["certificate"]
-        assert cert["N"] == 10 and "floor" in cert
+        check_fdtc_certificate(
+            BraidWord(3, [-1, -2]), Fraction(record["value"]), cert["N"], cert["floor"],
+            Fraction(cert["lo"]), Fraction(cert["hi"]),
+        )
 
 
 class TestFamilyComposition:
@@ -151,6 +157,20 @@ class TestAuditCommand:
         assert out[2]["predicates"][0]["predicate"] == "slice3"
         summary = out[-1]["summary"]
         assert summary["entries"] == 3 and summary["errors"] == 1
+
+    def test_wrongly_typed_lines_are_error_records(self, tmp_path, capsys):
+        path = self.corpus(
+            tmp_path,
+            '{"n": "3", "word": [1]}\n'
+            '{"n": 3, "word": [1.5]}\n'
+            '{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/3"}}\n',
+        )
+        assert run(["audit", "--json", path]) == 1
+        out = [json.loads(line) for line in lines(capsys)]
+        assert [r.get("line") for r in out[:-1]] == [1, 2, 3]
+        assert "error" in out[0] and "error" in out[1]
+        assert out[2]["expected"]["fdtc"]["matched"] is True
+        assert out[-1]["summary"]["entries"] == 3 and out[-1]["summary"]["errors"] == 2
 
     def test_clean_corpus_exits_zero(self, tmp_path, capsys):
         path = self.corpus(tmp_path, '{"n": 3, "word": [1, 2], "meta": {"qp_length": 2}}\n')

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from braidtwist import BraidWord, ReductionCapError, garside_delta
+import braidtwist.fdtc as fdtc
+from braidtwist import BraidWord, OrderSign, ReductionCapError, garside_delta
 from braidtwist.braid import free_reduce
 from braidtwist.fdtc import (
     FLOOR_CONVENTION,
@@ -18,6 +21,14 @@ from braidtwist.fdtc import (
 def random_word(rng, n, length):
     gens = [g for g in range(-(n - 1), n) if g]
     return BraidWord(n, [rng.choice(gens) for _ in range(length)])
+
+
+@st.composite
+def small_words(draw):
+    """Words in B_3 to B_5 of at most 12 letters."""
+    n = draw(st.integers(3, 5))
+    gens = [g for g in range(-(n - 1), n) if g]
+    return BraidWord(n, draw(st.lists(st.sampled_from(gens), max_size=12)))
 
 
 class TestDehornoyFloor:
@@ -95,13 +106,12 @@ class TestFdtcExact:
     def test_identity(self):
         assert fdtc_exact(BraidWord(3, [])).value == 0
 
-    def test_certificate_fields(self):
-        r = fdtc_exact(BraidWord(3, [-1, -2]))
-        assert r.power_used == 10
-        lo, hi = r.interval
-        assert lo <= r.value <= hi
-        assert hi - lo == Fraction(1, r.power_used)
-        assert dehornoy_floor(free_reduce(BraidWord(3, [-1, -2]) ** 10)).floor == r.floor_of_power
+    def test_certificate_fields(self, check_fdtc_certificate):
+        cases = ((3, [-1, -2]), (3, [1, 2]), (3, []), (4, [1, 2, 3] * 2), (5, [1, -2, 3, 4, -1]))
+        for n, letters in cases:
+            w = BraidWord(n, letters)
+            r = fdtc_exact(w)
+            check_fdtc_certificate(w, r.value, r.power_used, r.floor_of_power, *r.interval)
 
     def test_full_twist_shift(self):
         rng = random.Random(29)
@@ -115,6 +125,44 @@ class TestFdtcExact:
         w = random_word(rng, 3, 30)
         with pytest.raises(ReductionCapError):
             fdtc_exact(w, cap=3)
+
+    @given(small_words())
+    @settings(max_examples=25, deadline=None)
+    def test_value_lies_in_fixed_power_interval(self, w):
+        n = w.strands
+        lo, hi = fdtc_interval(w, n * n + 1)
+        assert lo <= fdtc_exact(w).value <= hi
+
+    @given(small_words())
+    @settings(max_examples=25, deadline=None)
+    def test_floor_of_doubled_power(self, w):
+        for P in (1, 2, 4):
+            floor = dehornoy_floor(free_reduce(w**P)).floor
+            doubled = dehornoy_floor(free_reduce(w ** (2 * P))).floor
+            assert doubled - 2 * floor in (0, 1)
+
+    def test_any_flipped_comparison_raises(self, monkeypatch):
+        """One wrong order comparison, probe or certificate, must never yield a value."""
+        original = fdtc.compare
+
+        def flipping(k, seen):
+            def compare(a, b, *, cap=None):
+                sign = original(a, b, cap=cap)
+                seen.append(sign)
+                if len(seen) - 1 != k:
+                    return sign
+                return OrderSign.GREATER if sign is OrderSign.LESS else OrderSign.LESS
+
+            return compare
+
+        for w in (BraidWord(3, [1, 2]), BraidWord(4, [1, 2, -3, 2]), BraidWord(5, [4, 3, 2, 1, 1])):
+            seen = []
+            monkeypatch.setattr(fdtc, "compare", flipping(-1, seen))
+            fdtc_exact(w)
+            for k in range(len(seen)):
+                monkeypatch.setattr(fdtc, "compare", flipping(k, []))
+                with pytest.raises(RuntimeError):
+                    fdtc_exact(w)
 
 
 class TestWordSignBounds:

@@ -17,9 +17,6 @@ import functools
 import re
 from fractions import Fraction
 
-# Exact reduced fractions everywhere; no floats in any invariant.
-Rational = Fraction
-
 
 @dataclasses.dataclass(frozen=True)
 class BraidWord:
@@ -35,7 +32,10 @@ class BraidWord:
         if self.strands < 2:
             raise ValueError(f"need at least 2 strands, got {self.strands}")
         if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
+            try:
+                object.__setattr__(self, "letters", tuple(self.letters))
+            except TypeError:
+                raise ValueError(f"letters must be a sequence, got {self.letters!r}") from None
         top = self.strands - 1
         for g in self.letters:
             if type(g) is not int or not 1 <= abs(g) <= top:
@@ -66,9 +66,6 @@ class BraidWord:
     def conjugate_by(self, c: "BraidWord") -> "BraidWord":
         """c * self * c^-1."""
         return c * self * c.inverse()
-
-    def identity_like(self) -> "BraidWord":
-        return BraidWord(self.strands, ())
 
 
 @dataclasses.dataclass(frozen=True)

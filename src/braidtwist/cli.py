@@ -11,6 +11,7 @@ through Fraction().
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -23,7 +24,6 @@ from .braid import (
     parse_word,
 )
 from .fdtc import (
-    FLOOR_CONVENTION,
     dehornoy_floor,
     destab_bounds,
     fdtc_exact,
@@ -41,11 +41,7 @@ from .murasugi import (
     to_word,
 )
 from .ordering import ReductionCapError, compare, order_sign
-from .quasipositive import check_qp_bt_bound, expand, parse_syllables, qp_report
-
-
-def _rat(x) -> str:
-    return str(Fraction(x))
+from .quasipositive import expand, parse_syllables, qp_bt_bound_holds, qp_report
 
 
 def _jsonify(value):
@@ -142,28 +138,14 @@ def _cmd_bounds(args) -> int:
         "bt_upper_zero": upper_zero,
         "destab": list(destab) if destab is not None else None,
     }
-    audit_kwargs = {}
-    if args.g3 is not None:
-        audit_kwargs["g3"] = Fraction(args.g3)
-    if args.g4 is not None:
-        audit_kwargs["g4"] = Fraction(args.g4)
-    if args.g4_upper is not None:
-        audit_kwargs["g4_upper"] = Fraction(args.g4_upper)
-    if args.finite_concordance_order:
-        audit_kwargs["finite_concordance_order"] = True
-    if args.qp_length is not None:
-        audit_kwargs["qp_length"] = args.qp_length
-    if args.predicates is not None:
-        audit_kwargs["predicates"] = args.predicates
+    audit_kwargs = _audit_kwargs({k: v for k, v in vars(args).items() if v is not None})
     if knot:
         b = tau_s_bounds(w)
         report["tau"] = [b.tau_lo, b.tau_hi]
         report["s"] = [b.s_lo, b.s_hi]
-        audited = audit_bounds(w, cap=args.cap, **audit_kwargs)
-        report["floor"] = audited["floor"]
-        report["fdtc"] = audited["fdtc"]
-        report["predicates"] = audited["predicates"]
-    elif audit_kwargs:
+        # Adds floor, fdtc and predicates; strands is already there.
+        report.update(audit_bounds(w, predicates=args.predicates, cap=args.cap, **audit_kwargs))
+    elif audit_kwargs or args.predicates is not None:
         raise ValueError("genus and concordance predicates need a knot closure")
     if args.json:
         _print_json(report)
@@ -197,27 +179,15 @@ def _cmd_qp(args) -> int:
     s = parse_syllables(args.syllables, args.strands)
     r = qp_report(s)
     word = expand(s)
-    report = {
-        "strands": s.strands,
-        "qp_length": r.qp_length,
-        "chi4": r.chi4,
-        "g4": r.g4,
-        "bt_upper": r.bt_upper,
-        "syllable_sign_bounds": list(r.syllable_sign_bounds),
-        "sign_bounds_conditional": r.sign_bounds_conditional,
-        "all_positive": r.all_positive,
-        "closure_is_knot": r.closure_is_knot,
-        "passes_destabilization_screen": r.passes_destabilization_screen,
-        "expanded": format_word(word),
-    }
+    report = {"strands": s.strands, **dataclasses.asdict(r), "expanded": format_word(word)}
     if args.check:
         report["fdtc"] = fdtc_exact(word, cap=args.cap).value
-        report["bound_check"] = check_qp_bt_bound(s, cap=args.cap)
+        report["bound_check"] = qp_bt_bound_holds(s, report["fdtc"])
     if args.json:
         _print_json(report)
         return 0
     for key, value in report.items():
-        if isinstance(value, list):
+        if isinstance(value, tuple):
             value = f"[{', '.join(str(v) for v in value)}]"
         print(f"{key}: {value}")
     return 0
@@ -288,7 +258,38 @@ def _cmd_family(args) -> int:
     return 0
 
 
-_META_KEYS = ("g3", "g4", "g4_upper", "finite_concordance_order", "qp_length")
+def _fraction(key: str, value) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"{key} has a zero denominator: {value!r}") from None
+
+
+def _integer(key: str, value) -> int:
+    # int() alone would truncate 1.5 and true to 1, and raise TypeError on null or [1].
+    if type(value) in (str, int) or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+
+
+# The audit_bounds inputs, in the order they are read (so the first bad one
+# is the one reported), each with its reader.
+_AUDIT_INPUTS = {
+    "g3": _fraction,
+    "g4": _fraction,
+    "g4_upper": _fraction,
+    "finite_concordance_order": lambda key, value: bool(value),
+    "qp_length": _integer,
+}
+
+
+def _audit_kwargs(supplied) -> dict:
+    """audit_bounds keyword arguments from the bounds options that were given
+    or from a corpus line's meta object; keys that are not inputs are ignored.
+    """
+    return {
+        key: read(key, supplied[key]) for key, read in _AUDIT_INPUTS.items() if key in supplied
+    }
 
 
 def _audit_one(entry: dict, predicates, cap) -> dict:
@@ -303,28 +304,13 @@ def _audit_one(entry: dict, predicates, cap) -> dict:
     meta = entry.get("meta") or {}
     if not isinstance(meta, dict):
         raise ValueError("meta must be a JSON object")
-    kwargs = {}
-    if "g3" in meta:
-        kwargs["g3"] = Fraction(str(meta["g3"]))
-    if "g4" in meta:
-        kwargs["g4"] = Fraction(str(meta["g4"]))
-    if "g4_upper" in meta:
-        kwargs["g4_upper"] = Fraction(str(meta["g4_upper"]))
-    if "finite_concordance_order" in meta:
-        kwargs["finite_concordance_order"] = bool(meta["finite_concordance_order"])
-    if "qp_length" in meta:
-        kwargs["qp_length"] = int(meta["qp_length"])
-    record = audit_bounds(w, predicates=predicates, cap=cap, **kwargs)
+    record = audit_bounds(w, predicates=predicates, cap=cap, **_audit_kwargs(meta))
     record["word"] = list(w.letters)
     expected = {}
-    if "expected_floor" in meta:
-        expected["floor"] = {
-            "want": int(meta["expected_floor"]),
-            "matched": record["floor"] == int(meta["expected_floor"]),
-        }
-    if "expected_fdtc" in meta:
-        want = Fraction(str(meta["expected_fdtc"]))
-        expected["fdtc"] = {"want": want, "matched": record["fdtc"] == want}
+    for key, read in (("floor", _integer), ("fdtc", _fraction)):
+        if f"expected_{key}" in meta:
+            want = read(f"expected_{key}", meta[f"expected_{key}"])
+            expected[key] = {"want": want, "matched": record[key] == want}
     if expected:
         record["expected"] = expected
     return record
@@ -398,10 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, strands_required=True):
-        p.add_argument(
-            "--strands", type=int, required=strands_required, help="number of strands"
-        )
+    def add_common(p):
+        p.add_argument("--strands", type=int, required=True, help="number of strands")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument(
             "--cap", type=int, default=None, help="handle reduction step cap"
@@ -517,13 +501,7 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except ReductionCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ReductionCapError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,10 @@ four-genus of their difference) feed the audits; everything else about
 g3/g4 is caller-supplied ground truth, never invented here.
 
 audit_bounds evaluates the floor and twist-coefficient inequalities a
-braid closure is expected to satisfy:
+braid closure is expected to satisfy.  They are rows of one table, which
+names each predicate's inputs, an optional check of their values, and
+the function that turns the inputs, the floor and BT into a verdict;
+PREDICATES lists the rows in table order:
 
   ito         |floor| < (4*g3 - 2)/(n + 2) + 3/2  and  |BT| <= g3 + 2
   question15  |BT| <= 2*g4 + n - 2   (open question: failures are
@@ -23,11 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .braid import BraidWord, closure_components, exponent_counts
 from .fdtc import dehornoy_floor, fdtc_exact
-
-PREDICATES = ("ito", "question15", "slice3", "qp")
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,63 @@ def g4_torus_difference(m: int, k: int) -> Fraction:
     return Fraction(max(tau_gap, Fraction(upsilon_gap)))
 
 
-def _as_rational(value) -> Fraction:
-    return Fraction(value)
+def _ito(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
+    g3 = Fraction(values["g3"])
+    floor_bound = Fraction(4 * g3 - 2, n + 2) + Fraction(3, 2)
+    bt_bound = g3 + 2
+    ok = abs(floor) < floor_bound and abs(bt) <= bt_bound
+    return ("pass" if ok else "fail"), {"g3": g3, "floor_bound": floor_bound, "bt_bound": bt_bound}
+
+
+def _question15(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
+    g4_is_upper = values["g4"] is None
+    g4 = Fraction(values["g4_upper"] if g4_is_upper else values["g4"])
+    bound = 2 * g4 + n - 2
+    status = "pass" if abs(bt) <= bound else "counterexample-candidate"
+    return status, {"g4": g4, "g4_is_upper": g4_is_upper, "bound": bound}
+
+
+def _slice3(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
+    if n != 3:
+        return "skipped", {"reason": "needs a 3-braid"}
+    if not values["finite_concordance_order"]:
+        return "skipped", {"reason": "closure not flagged as finite concordance order"}
+    return ("pass" if abs(bt) <= 1 else "fail"), {"bound": Fraction(1)}
+
+
+def _check_qp(values: dict) -> None:
+    m = values["qp_length"]
+    if m < 1:
+        raise ValueError(f"qp_length must be a positive band count, got {m}")
+
+
+def _qp(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
+    m = values["qp_length"]
+    upper = Fraction(m - 1)
+    ok = 0 <= bt <= upper
+    details = {"qp_length": m, "bound": upper}
+    if values["g4"] is not None:
+        details["genus_bound"] = 2 * Fraction(values["g4"]) + n - 2
+        ok = ok and bt <= details["genus_bound"]
+    return ("pass" if ok else "fail"), details
+
+
+class _Predicate(NamedTuple):
+    # Any one of these audit_bounds arguments makes the predicate applicable.
+    inputs: tuple[str, ...]
+    # (inputs, strands, floor, BT) -> (status, details of the record entry).
+    evaluate: Callable[[dict, int, int, Fraction], tuple[str, dict]]
+    # Raises ValueError on an input value the predicate cannot use.
+    check: Callable[[dict], None] = lambda values: None
+
+
+_TABLE = {
+    "ito": _Predicate(("g3",), _ito),
+    "question15": _Predicate(("g4", "g4_upper"), _question15),
+    "slice3": _Predicate(("finite_concordance_order",), _slice3),
+    "qp": _Predicate(("qp_length",), _qp, _check_qp),
+}
+PREDICATES = tuple(_TABLE)
 
 
 def audit_bounds(
@@ -115,6 +172,7 @@ def audit_bounds(
 
     With predicates=None, every predicate whose inputs were supplied is
     evaluated; explicitly requesting one without its inputs is an error.
+    Every input is validated before the floor and BT are computed.
     Genus values are caller-provided ground truth.  question15 failures
     are flagged counterexample-candidate rather than fail: the bound is
     an open question, and a braid violating it is a discovery to report,
@@ -122,31 +180,29 @@ def audit_bounds(
     """
     if closure_components(w) != 1:
         raise ValueError("closure is not a knot")
-    n = w.strands
-    if predicates is None:
-        requested = []
-        if g3 is not None:
-            requested.append("ito")
-        if g4 is not None or g4_upper is not None:
-            requested.append("question15")
-        if finite_concordance_order is not None:
-            requested.append("slice3")
-        if qp_length is not None:
-            requested.append("qp")
-    else:
-        requested = list(predicates)
-        for name in requested:
-            if name not in PREDICATES:
-                raise ValueError(f"unknown predicate {name!r}")
-        if "ito" in requested and g3 is None:
-            raise ValueError("predicate 'ito' needs g3")
-        if "question15" in requested and g4 is None and g4_upper is None:
-            raise ValueError("predicate 'question15' needs g4 or g4_upper")
-        if "slice3" in requested and finite_concordance_order is None:
-            raise ValueError("predicate 'slice3' needs finite_concordance_order")
-        if "qp" in requested and qp_length is None:
-            raise ValueError("predicate 'qp' needs qp_length")
+    values = {
+        "g3": g3,
+        "g4": g4,
+        "g4_upper": g4_upper,
+        "finite_concordance_order": finite_concordance_order,
+        "qp_length": qp_length,
+    }
+    supplied = [
+        name for name, p in _TABLE.items() if any(values[k] is not None for k in p.inputs)
+    ]
+    requested = supplied if predicates is None else list(predicates)
+    for name in requested:
+        if name not in _TABLE:
+            raise ValueError(f"unknown predicate {name!r}")
+    # Table order, not request order: the first missing input reported for
+    # a request does not depend on how the request lists its predicates.
+    for name, p in _TABLE.items():
+        if name in requested:
+            if name not in supplied:
+                raise ValueError(f"predicate {name!r} needs {' or '.join(p.inputs)}")
+            p.check(values)
 
+    n = w.strands
     floor = dehornoy_floor(w, cap=cap).floor
     bt = fdtc_exact(w, cap=cap).value
     record: dict = {
@@ -155,68 +211,7 @@ def audit_bounds(
         "fdtc": bt,
         "predicates": [],
     }
-
     for name in requested:
-        if name == "ito":
-            g3_val = _as_rational(g3)
-            floor_bound = Fraction(4 * g3_val - 2, n + 2) + Fraction(3, 2)
-            bt_bound = g3_val + 2
-            ok = abs(floor) < floor_bound and abs(bt) <= bt_bound
-            record["predicates"].append(
-                {
-                    "predicate": "ito",
-                    "status": "pass" if ok else "fail",
-                    "g3": g3_val,
-                    "floor_bound": floor_bound,
-                    "bt_bound": bt_bound,
-                }
-            )
-        elif name == "question15":
-            g4_is_upper = g4 is None
-            g4_val = _as_rational(g4_upper if g4_is_upper else g4)
-            bound = 2 * g4_val + n - 2
-            ok = abs(bt) <= bound
-            record["predicates"].append(
-                {
-                    "predicate": "question15",
-                    "status": "pass" if ok else "counterexample-candidate",
-                    "g4": g4_val,
-                    "g4_is_upper": g4_is_upper,
-                    "bound": bound,
-                }
-            )
-        elif name == "slice3":
-            if n != 3:
-                entry = {"predicate": "slice3", "status": "skipped", "reason": "needs a 3-braid"}
-            elif not finite_concordance_order:
-                entry = {
-                    "predicate": "slice3",
-                    "status": "skipped",
-                    "reason": "closure not flagged as finite concordance order",
-                }
-            else:
-                entry = {
-                    "predicate": "slice3",
-                    "status": "pass" if abs(bt) <= 1 else "fail",
-                    "bound": Fraction(1),
-                }
-            record["predicates"].append(entry)
-        elif name == "qp":
-            m = qp_length
-            if m is None or m < 1:
-                raise ValueError(f"qp_length must be a positive band count, got {m}")
-            upper = Fraction(m - 1)
-            ok = 0 <= bt <= upper
-            entry = {
-                "predicate": "qp",
-                "status": "pass" if ok else "fail",
-                "qp_length": m,
-                "bound": upper,
-            }
-            if g4 is not None:
-                genus_bound = 2 * _as_rational(g4) + n - 2
-                entry["genus_bound"] = genus_bound
-                if bt > genus_bound:
-                    entry["status"] = "fail"
-            record["predicates"].append(entry)
+        status, details = _TABLE[name].evaluate(values, n, floor, bt)
+        record["predicates"].append({"predicate": name, "status": status, **details})
     return record

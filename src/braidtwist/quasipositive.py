@@ -7,8 +7,7 @@ those, m bands give chi_4 = n - m for the closure surface and the twist
 coefficient is trapped in [0, m-1].  For mixed signs only the weaker
 syllable-count bounds survive, and they are conditional on hypotheses
 (no destabilizations, chi_4 = n - m) that no algorithm here verifies;
-the report carries them with an explicit conditional flag and the
-syntactic screens it could run.
+the report carries them next to the syntactic screens it could run.
 """
 
 from __future__ import annotations
@@ -73,8 +72,9 @@ class QpReport:
 
     chi4, g4 and bt_upper hold only for all-positive words (g4 further
     needs a knot closure); they are None when inapplicable.  The
-    syllable_sign_bounds pair applies to mixed words but only under
-    hypotheses recorded, not proven, by the flags below it.
+    syllable_sign_bounds pair applies to mixed words, always conditionally:
+    it assumes no destabilizations and chi_4 = n - m, which nothing here
+    proves; the flags below it record the screens that could be run.
     """
 
     qp_length: int
@@ -82,7 +82,6 @@ class QpReport:
     g4: Fraction | None
     bt_upper: int | None
     syllable_sign_bounds: tuple[Fraction, Fraction]
-    sign_bounds_conditional: bool
     all_positive: bool
     closure_is_knot: bool
     passes_destabilization_screen: bool
@@ -118,7 +117,6 @@ def qp_report(s: SyllableWord) -> QpReport:
             Fraction(min(-p_minus + 1, 0)),
             Fraction(max(p_plus - 1, 0)),
         ),
-        sign_bounds_conditional=True,
         all_positive=all_positive,
         closure_is_knot=knot,
         passes_destabilization_screen=detect_destabilizable(word) is None,
@@ -126,9 +124,15 @@ def qp_report(s: SyllableWord) -> QpReport:
 
 
 def check_qp_bt_bound(s: SyllableWord, *, cap: int | None = None) -> bool:
-    """Verify 0 <= BT <= m-1 on an all-positive syllable word.
+    """Verify 0 <= BT <= m-1 on an all-positive syllable word, BT from the engine."""
+    return qp_bt_bound_holds(s, fdtc_exact(expand(s), cap=cap).value)
 
-    This is a theorem for n >= 3, so False is an engine bug, not a
+
+def qp_bt_bound_holds(s: SyllableWord, bt: Fraction) -> bool:
+    """Whether bt, the twist coefficient of s, lies in [0, m-1].
+
+    s must be an all-positive syllable word on at least 3 strands.  The
+    bound is a theorem for n >= 3, so False is an engine bug, not a
     property of the input.  B_2 is excluded: BT(sigma_1) = 1/2 there,
     which already breaks the m = 1 case.
     """
@@ -139,7 +143,6 @@ def check_qp_bt_bound(s: SyllableWord, *, cap: int | None = None) -> bool:
         raise ValueError("need at least one syllable")
     if any(syl.sign != 1 for syl in s.syllables):
         raise ValueError("the syllable bound needs an all-positive word")
-    bt = fdtc_exact(expand(s), cap=cap).value
     return 0 <= bt <= m - 1
 
 

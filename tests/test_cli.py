@@ -1,7 +1,13 @@
+import contextlib
 import io
 import json
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import braidtwist.cli as cli
+import braidtwist.quasipositive as quasipositive
 from braidtwist import BraidWord
 from braidtwist.cli import run
 
@@ -111,6 +117,22 @@ class TestQpCommand:
     def test_malformed_syllables(self, capsys):
         assert run(["qp", "--strands", "3", "1 | 2"]) == 1
 
+    def test_check_computes_the_twist_coefficient_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(original):
+            def fdtc_exact(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            return fdtc_exact
+
+        for module in (cli, quasipositive):
+            monkeypatch.setattr(module, "fdtc_exact", counting(module.fdtc_exact))
+        assert run(["qp", "--strands", "3", "--check", "2 | 1 | +; | 2 | +"]) == 0
+        assert lines(capsys)[-2:] == ["fdtc: 1/3", "bound_check: True"]
+        assert len(calls) == 1
+
 
 class TestBoundsCommand:
     def test_json_with_predicates(self, capsys):
@@ -159,18 +181,25 @@ class TestAuditCommand:
         assert summary["entries"] == 3 and summary["errors"] == 1
 
     def test_wrongly_typed_lines_are_error_records(self, tmp_path, capsys):
-        path = self.corpus(
-            tmp_path,
-            '{"n": "3", "word": [1]}\n'
-            '{"n": 3, "word": [1.5]}\n'
-            '{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/3"}}\n',
-        )
+        bad = [
+            '{"n": "3", "word": [1]}',
+            '{"n": 3, "word": [1.5]}',
+            '{"n": 3, "word": 5}',
+            '{"n": 3, "word": null}',
+        ] + [
+            f'{{"n": 3, "word": [1, 2], "meta": {{"{key}": {value}}}}}'
+            for key in ("qp_length", "expected_floor")
+            for value in ("[1]", "{}", "1.5", "true", "null")
+        ]
+        good = '{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/3"}}'
+        path = self.corpus(tmp_path, "\n".join(bad + [good]) + "\n")
         assert run(["audit", "--json", path]) == 1
         out = [json.loads(line) for line in lines(capsys)]
-        assert [r.get("line") for r in out[:-1]] == [1, 2, 3]
-        assert "error" in out[0] and "error" in out[1]
-        assert out[2]["expected"]["fdtc"]["matched"] is True
-        assert out[-1]["summary"]["entries"] == 3 and out[-1]["summary"]["errors"] == 2
+        assert [r.get("line") for r in out[:-1]] == list(range(1, len(bad) + 2))
+        assert all("error" in r for r in out[: len(bad)])
+        assert out[len(bad)]["expected"]["fdtc"]["matched"] is True
+        summary = out[-1]["summary"]
+        assert summary["entries"] == len(bad) + 1 and summary["errors"] == len(bad)
 
     def test_clean_corpus_exits_zero(self, tmp_path, capsys):
         path = self.corpus(tmp_path, '{"n": 3, "word": [1, 2], "meta": {"qp_length": 2}}\n')
@@ -210,6 +239,44 @@ class TestAuditCommand:
     def test_missing_file(self, capsys):
         assert run(["audit", "/no/such/corpus.jsonl"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+META_KEYS = ("g3", "g4", "g4_upper", "finite_concordance_order", "qp_length",
+             "expected_floor", "expected_fdtc")
+# Strand counts stay small: a huge n is valid input whose closure permutation
+# alone would exhaust memory.
+audit_lines = st.fixed_dictionaries(
+    {
+        "n": st.integers(2, 4) | json_values.filter(lambda v: not isinstance(v, int) or v < 6),
+        "word": st.lists(st.integers(-3, 3) | json_values, max_size=6) | json_values,
+    },
+    optional={"meta": st.dictionaries(st.sampled_from(META_KEYS), json_values) | json_values},
+)
+
+
+class TestAuditFuzz:
+    @settings(max_examples=150, deadline=None)
+    @example([{"n": 3, "word": 5}])
+    @example([{"n": 3, "word": [1, 2], "meta": {"qp_length": [1]}}])
+    @given(st.lists(audit_lines, min_size=1, max_size=3))
+    def test_every_line_gives_a_record_or_an_error(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["audit", "--json", str(path)])
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert code in (0, 1)
+        assert [r["line"] for r in records[:-1]] == list(range(1, len(entries) + 1))
+        assert all(("error" in r) != ("predicates" in r) for r in records[:-1])
+        assert records[-1]["summary"]["entries"] == len(entries)
+        assert code == (1 if records[-1]["summary"]["errors"] else 0)
 
 
 class TestExitCodes:

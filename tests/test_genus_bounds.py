@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import braidtwist.genus_bounds as genus_bounds
 from braidtwist import BraidWord, garside_delta
 from braidtwist.genus_bounds import (
     PREDICATES,
@@ -152,3 +153,22 @@ class TestAuditBounds:
 
     def test_predicate_registry(self):
         assert PREDICATES == ("ito", "question15", "slice3", "qp")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"qp_length": 0}, "positive band count"),
+            ({"qp_length": 0, "g3": 1, "predicates": ["qp", "ito"]}, "positive band count"),
+            ({"predicates": ["qp", "ito"]}, "'ito' needs g3"),
+            ({"qp_length": 2, "predicates": ["qp", "slice3"]}, "needs finite_concordance_order"),
+            ({"predicates": ["qp", "genus"]}, "unknown predicate 'genus'"),
+        ],
+    )
+    def test_inputs_are_validated_before_engine_work(self, monkeypatch, kwargs, message):
+        def engine(*args, **kwargs):
+            raise AssertionError("engine called before validation")
+
+        monkeypatch.setattr(genus_bounds, "dehornoy_floor", engine)
+        monkeypatch.setattr(genus_bounds, "fdtc_exact", engine)
+        with pytest.raises(ValueError, match=message):
+            audit_bounds(BraidWord(3, [1, 2]), **kwargs)

@@ -85,7 +85,6 @@ class TestQpReport:
         )
         r = qp_report(s)
         assert r.syllable_sign_bounds == (Fraction(0), Fraction(1))
-        assert r.sign_bounds_conditional
         assert not r.all_positive
         assert r.chi4 is None and r.g4 is None and r.bt_upper is None
 

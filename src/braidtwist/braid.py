@@ -166,6 +166,19 @@ def free_reduce(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(_free_reduce_letters(w.letters)))
 
 
+def _conjugate_split(letters) -> tuple[list[int], list[int]]:
+    """(c, u) with the free reduction of the letters equal to c u c^-1.
+
+    u is cyclically reduced: its first letter is not the inverse of its
+    last, so every power of u is freely reduced as written.
+    """
+    letters = _free_reduce_letters(letters)
+    k = 0
+    while len(letters) - 2 * k >= 2 and letters[k] == -letters[-1 - k]:
+        k += 1
+    return letters[:k], letters[k : len(letters) - k]
+
+
 @functools.cache
 def _delta_letters(n: int) -> tuple[int, ...]:
     letters: list[int] = []
@@ -199,9 +212,12 @@ def permutation(w: BraidWord) -> Permutation:
     Multiplicative in diagram order: permutation(a * b) equals
     permutation(a) * permutation(b).
     """
-    n = w.strands
+    return _permutation(w.letters, w.strands)
+
+
+def _permutation(letters, n: int) -> Permutation:
     strand_at = list(range(n + 1))  # strand_at[p] = strand currently at position p
-    for g in w.letters:
+    for g in letters:
         i = g if g > 0 else -g
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
     images = [0] * (n + 1)
@@ -211,8 +227,14 @@ def permutation(w: BraidWord) -> Permutation:
 
 
 def closure_components(w: BraidWord) -> int:
-    """Number of link components of the closure (cycles of the permutation)."""
-    return permutation(w).cycle_count()
+    """Number of link components of the closure (cycles of the permutation).
+
+    Strands above the highest generator index are fixed points, one
+    component each, so only the strands up to that index + 1 are traced:
+    the cost follows the word, not the strand count.
+    """
+    moved = max(map(abs, w.letters), default=1) + 1
+    return _permutation(w.letters, moved).cycle_count() + w.strands - moved
 
 
 def positive_braid_genus(w: BraidWord) -> Fraction:
@@ -310,9 +332,7 @@ def detect_destabilizable(w: BraidWord) -> int | None:
     one occurrence of index n-1 overall.  Purely syntactic, hence a
     sufficient but not necessary destabilization test.
     """
-    letters = _free_reduce_letters(w.letters)
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
+    _, letters = _conjugate_split(w.letters)
     top = w.strands - 1
     occurrences = [g for g in letters if abs(g) == top]
     if len(occurrences) == 1:

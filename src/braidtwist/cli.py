@@ -272,13 +272,20 @@ def _integer(key: str, value) -> int:
     raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
 
 
+def _boolean(key: str, value) -> bool | None:
+    # Truthiness would read the string "false" as yes; null means not supplied.
+    if value is None or type(value) is bool:
+        return value
+    raise ValueError(f"{key} must be true, false or null, got {json.dumps(value)}")
+
+
 # The audit_bounds inputs, in the order they are read (so the first bad one
 # is the one reported), each with its reader.
 _AUDIT_INPUTS = {
     "g3": _fraction,
     "g4": _fraction,
     "g4_upper": _fraction,
-    "finite_concordance_order": lambda key, value: bool(value),
+    "finite_concordance_order": _boolean,
     "qp_length": _integer,
 }
 

@@ -14,6 +14,22 @@ which.  The search stops at the first P whose interval holds exactly
 one rational with denominator <= n; any two such rationals are at least
 1/(n(n-1)) apart (neighbours in the Farey sequence F_n), so the stop
 comes by the first power of two above n(n-1).
+
+Every comparison Delta^(2t) <= b^P is one handle reduction, and its
+cost depends on where the letters sit, not only on how many there are:
+on the words of the fdtc_small_n benchmark, Delta^(-2t) b^P with all
+the inverse twists in front takes about 2.5 times as long to reduce as
+the same braid with the twists spread through the power.  So each
+probe reduces that spread word: with b = c u c^-1 freely (u cyclically
+reduced) it is
+
+    c (Delta^(-2 k_1) u) (Delta^(-2 k_2) u) ... (Delta^(-2 k_P) u) c^-1,
+    k_j = floor(j t / P) - floor((j - 1) t / P),
+
+so the k_j sum to t and each copy of u carries its share of the twists
+(positive twist blocks when t < 0).  The word equals Delta^(-2t) b^P
+because Delta^2 is central and c^-1 c cancels freely; nothing from the
+engine goes into building it.
 """
 
 from __future__ import annotations
@@ -22,7 +38,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import BraidWord, detect_destabilizable, free_reduce, garside_delta
+from .braid import (
+    BraidWord,
+    _conjugate_split,
+    detect_destabilizable,
+    free_reduce,
+    garside_delta,
+)
 from .ordering import OrderSign, compare
 
 FLOOR_CONVENTION = "max-t-with-Δ^{2t}⪯β"
@@ -44,25 +66,40 @@ class FdtcResult:
     interval: tuple[Fraction, Fraction]
 
 
+def _twisted_power(w: BraidWord, P: int, t: int) -> BraidWord:
+    """A word for Delta^(-2t) w^P with the t full twists spread through
+    the P copies of w's cyclically reduced core (see the module notes)."""
+    c, u = _conjugate_split(w.letters)
+    delta2 = garside_delta(w.strands, squared=True).letters
+    inverse = tuple(-g for g in reversed(delta2))
+    letters = list(c)
+    for j in range(1, P + 1):
+        k = j * t // P - (j - 1) * t // P
+        letters.extend((inverse if k > 0 else delta2) * abs(k))
+        letters.extend(u)
+    letters.extend(-g for g in reversed(c))
+    return BraidWord(w.strands, tuple(letters))
+
+
+def _at_least(w: BraidWord, P: int, t: int, *, cap: int | None = None) -> bool:
+    """Whether Delta^(2t) <= w^P, by one fresh reduction of _twisted_power."""
+    return compare(_twisted_power(w, P, t), BraidWord(w.strands), cap=cap) != OrderSign.LESS
+
+
 def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     """Largest t with Delta^(2t) <= the braid of w.
 
     Exponential bracketing then bisection on the monotone predicate
-    compare(w, Delta^(2t)) != LESS.  The bracket is capped at
-    2*len(w) + 2: a single letter has floor 0 or -1, so quasimorphism
-    additivity keeps |floor| <= 2*len(w) + 1 for any word.
+    Delta^(2t) <= w.  The bracket is capped at 2*len(w) + 2: a single
+    letter has floor 0 or -1, so quasimorphism additivity keeps
+    |floor| <= 2*len(w) + 1 for any word.
     """
-    delta2 = garside_delta(w.strands, squared=True)
-
-    def at_least(t: int) -> bool:
-        return compare(w, delta2**t, cap=cap) != OrderSign.LESS
-
     limit = 2 * len(w) + 2
-    # Walk away from 0 in the direction at_least(0) points, doubling, until
-    # the predicate flips; `near` is the last t where it still matched t = 0.
-    upward = at_least(0)
+    # Walk away from 0 in the direction the t = 0 probe points, doubling,
+    # until the predicate flips; `near` is the last t where it still matched.
+    upward = _at_least(w, 1, 0, cap=cap)
     near, far = 0, 1 if upward else -1
-    while at_least(far) == upward:
+    while _at_least(w, 1, far, cap=cap) == upward:
         near, far = far, 2 * far
         if abs(far) > limit:
             raise RuntimeError(
@@ -71,7 +108,7 @@ def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     lo, hi = (near, far) if upward else (far, near)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if at_least(mid):
+        if _at_least(w, 1, mid, cap=cap):
             lo = mid
         else:
             hi = mid
@@ -104,18 +141,15 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     and no unique candidate by then means the engine is broken, not the
     input.  (P = 1 never stops: [f, f+1] holds f, f + 1/2 and f + 1.)
 
-    The returned floor is certified on w^P alone by two fresh
-    comparisons, Delta^(2f) <= w^P < Delta^(2f+2), so neither the lemma
-    nor any earlier probe is trusted: a single wrong comparison anywhere
-    raises RuntimeError instead of returning a value.
+    Every comparison reduces the word of the module notes, with the
+    twists spread through the power.  The returned floor is certified on
+    w^P alone by two fresh comparisons, Delta^(2f) <= w^P < Delta^(2f+2),
+    each its own reduction, so neither the lemma nor any earlier probe
+    is trusted: a single wrong comparison anywhere raises RuntimeError
+    instead of returning a value.
     """
     n = w.strands
-    delta2 = garside_delta(n, squared=True)
-
-    def at_least(power: BraidWord, t: int) -> bool:
-        return compare(power, delta2**t, cap=cap) != OrderSign.LESS
-
-    P, f = 1, dehornoy_floor(free_reduce(w), cap=cap).floor
+    P, f = 1, dehornoy_floor(w, cap=cap).floor
     lo, hi = Fraction(f), Fraction(f + 1)
     candidates: set[Fraction] = set()  # P = 1 is never unique, so no need to test it
     while len(candidates) != 1:
@@ -125,15 +159,14 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
                 f"[{lo}, {hi}], found {sorted(candidates)} (engine bug)"
             )
         P *= 2
-        power = free_reduce(w**P)
-        f = 2 * f + at_least(power, 2 * f + 1)
+        f = 2 * f + _at_least(w, P, 2 * f + 1, cap=cap)
         lo, hi = Fraction(f, P), Fraction(f + 1, P)
         candidates = {
             Fraction(p, q)
             for q in range(1, n + 1)
             for p in range(math.ceil(lo * q), math.floor(hi * q) + 1)
         }
-    if not at_least(power, f) or at_least(power, f + 1):
+    if not _at_least(w, P, f, cap=cap) or _at_least(w, P, f + 1, cap=cap):
         raise RuntimeError(
             f"floor {f} of the power {P} failed its certificate (engine bug)"
         )

@@ -16,7 +16,7 @@ from braidtwist import (
     permutation,
     positive_braid_genus,
 )
-from braidtwist.braid import detect_destabilizable
+from braidtwist.braid import _conjugate_split, detect_destabilizable
 
 
 @st.composite
@@ -151,6 +151,19 @@ class TestClosureComponents:
     def test_single_generator(self):
         assert closure_components(BraidWord(2, [1])) == 1
 
+    def test_untouched_strands_are_fixed_points(self):
+        # Only the strands the word moves are traced; a billion-strand
+        # permutation would not fit in memory.
+        n = 10**9
+        assert closure_components(BraidWord(n, [])) == n
+        assert closure_components(BraidWord(n, [1])) == n - 1
+        assert closure_components(BraidWord(n, [3, -2, 1, 5])) == n - 4
+
+    @given(words())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_cycles_of_the_permutation(self, w):
+        assert closure_components(w) == permutation(w).cycle_count()
+
 
 class TestPositiveBraidGenus:
     def test_trefoil(self):
@@ -211,6 +224,16 @@ class TestDetectDestabilizable:
 
     def test_two_occurrences(self):
         assert detect_destabilizable(BraidWord(3, [2, 1, 2])) is None
+
+
+@given(words(), words())
+@settings(max_examples=60, deadline=None)
+def test_conjugate_split(core, c):
+    c = BraidWord(core.strands, [g for g in c.letters if abs(g) < core.strands])
+    w = core.conjugate_by(c)
+    head, u = _conjugate_split(w.letters)
+    assert head + u + [-g for g in reversed(head)] == list(free_reduce(w).letters)
+    assert len(u) < 2 or u[0] != -u[-1]
 
 
 @given(words(), words())

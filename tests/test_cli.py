@@ -190,6 +190,9 @@ class TestAuditCommand:
             f'{{"n": 3, "word": [1, 2], "meta": {{"{key}": {value}}}}}'
             for key in ("qp_length", "expected_floor")
             for value in ("[1]", "{}", "1.5", "true", "null")
+        ] + [
+            f'{{"n": 3, "word": [1, -2], "meta": {{"finite_concordance_order": {value}}}}}'
+            for value in ('"false"', '"true"', "0", "1", '""', "[]")
         ]
         good = '{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/3"}}'
         path = self.corpus(tmp_path, "\n".join(bad + [good]) + "\n")
@@ -200,6 +203,23 @@ class TestAuditCommand:
         assert out[len(bad)]["expected"]["fdtc"]["matched"] is True
         summary = out[-1]["summary"]
         assert summary["entries"] == len(bad) + 1 and summary["errors"] == len(bad)
+
+    def test_finite_concordance_order_null_is_not_supplied(self, tmp_path, capsys):
+        path = self.corpus(
+            tmp_path,
+            '{"n": 3, "word": [1, -2], "meta": {"finite_concordance_order": null}}\n'
+            '{"n": 3, "word": [1, -2], "meta": {"finite_concordance_order": false}}\n',
+        )
+        assert run(["audit", "--json", path]) == 0
+        out = [json.loads(line) for line in lines(capsys)]
+        assert out[0]["predicates"] == []
+        assert [p["status"] for p in out[1]["predicates"]] == ["skipped"]
+
+    def test_huge_strand_count_is_an_error_record(self, tmp_path, capsys):
+        path = self.corpus(tmp_path, '{"n": 1000000000, "word": [1]}\n')
+        assert run(["audit", "--json", path]) == 1
+        out = [json.loads(line) for line in lines(capsys)]
+        assert out[0] == {"line": 1, "error": "closure is not a knot"}
 
     def test_clean_corpus_exits_zero(self, tmp_path, capsys):
         path = self.corpus(tmp_path, '{"n": 3, "word": [1, 2], "meta": {"qp_length": 2}}\n')
@@ -249,11 +269,9 @@ json_values = st.recursive(
 )
 META_KEYS = ("g3", "g4", "g4_upper", "finite_concordance_order", "qp_length",
              "expected_floor", "expected_fdtc")
-# Strand counts stay small: a huge n is valid input whose closure permutation
-# alone would exhaust memory.
 audit_lines = st.fixed_dictionaries(
     {
-        "n": st.integers(2, 4) | json_values.filter(lambda v: not isinstance(v, int) or v < 6),
+        "n": st.integers(2, 4) | st.integers(min_value=5) | json_values,
         "word": st.lists(st.integers(-3, 3) | json_values, max_size=6) | json_values,
     },
     optional={"meta": st.dictionaries(st.sampled_from(META_KEYS), json_values) | json_values},
@@ -264,6 +282,7 @@ class TestAuditFuzz:
     @settings(max_examples=150, deadline=None)
     @example([{"n": 3, "word": 5}])
     @example([{"n": 3, "word": [1, 2], "meta": {"qp_length": [1]}}])
+    @example([{"n": 1000000000, "word": [1]}])
     @given(st.lists(audit_lines, min_size=1, max_size=3))
     def test_every_line_gives_a_record_or_an_error(self, tmp_path_factory, entries):
         path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"

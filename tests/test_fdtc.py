@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidtwist.fdtc as fdtc
-from braidtwist import BraidWord, OrderSign, ReductionCapError, garside_delta
+from braidtwist import BraidWord, OrderSign, ReductionCapError, compare, garside_delta
 from braidtwist.braid import free_reduce
 from braidtwist.fdtc import (
     FLOOR_CONVENTION,
+    _at_least,
+    _twisted_power,
     dehornoy_floor,
     destab_bounds,
     fdtc_exact,
@@ -29,6 +31,66 @@ def small_words(draw):
     n = draw(st.integers(3, 5))
     gens = [g for g in range(-(n - 1), n) if g]
     return BraidWord(n, draw(st.lists(st.sampled_from(gens), max_size=12)))
+
+
+@st.composite
+def conjugated_words(draw):
+    """c u c^-1 in B_2 to B_5, the core u empty (a freely trivial word),
+    one letter, or up to 6 letters, and c up to 4 letters."""
+    n = draw(st.integers(2, 5))
+    gens = st.sampled_from([g for g in range(-(n - 1), n) if g])
+    core = draw(st.just([]) | st.lists(gens, min_size=1, max_size=1) | st.lists(gens, max_size=6))
+    c = draw(st.lists(gens, max_size=4))
+    return BraidWord(n, core).conjugate_by(BraidWord(n, c))
+
+
+class TestTwistedPower:
+    @given(conjugated_words())
+    @settings(max_examples=30, deadline=None)
+    def test_same_braid_and_same_decision(self, w):
+        delta2 = garside_delta(w.strands, squared=True)
+        for P in (1, 2, 4):
+            power = free_reduce(w**P)
+            floor = dehornoy_floor(power).floor
+            for t in range(floor - 3, floor + 4):
+                twisted = _twisted_power(w, P, t)
+                assert compare(twisted, delta2 ** (-t) * power) is OrderSign.EQUAL
+                assert _at_least(w, P, t) == (compare(power, delta2**t) is not OrderSign.LESS)
+
+    def test_twists_are_spread_over_the_copies(self):
+        w = BraidWord(3, [2, 1, -2])  # c = [2], u = [1]
+        inverse = [-1, -2, -1, -1, -2, -1]
+        assert list(_twisted_power(w, 4, 2).letters) == (
+            [2, 1] + inverse + [1, 1] + inverse + [1, -2]
+        )
+        assert list(_twisted_power(w, 2, -1).letters) == [2, 1, 2, 1, 1, 2, 1, 1, 1, -2]
+
+
+class TestStepBudget:
+    """Deterministic guard on reduction cost: steps, not seconds.
+
+    Both words have floor 8 at power 8.  With the 9 inverse full twists
+    all in front of w^8, the certificate's upper compare takes 1,798
+    (B_4) and 1,916 (B_5) handle reductions; spread through the power,
+    the largest reduction of the whole fdtc_exact run takes 289 and 264.
+    """
+
+    CAP = 700
+    WORDS = (
+        BraidWord(4, [3, 3, 1, 3, 3, 3, 2, 1, 1, 2, 3, 1, 3, 3, 2, 3, 1]),
+        BraidWord(5, [1, 2, 3, 3, 4, 4, 3, 3, 3, 3, 4, 1, 2, 3, 4, 1]),
+    )
+
+    @pytest.mark.parametrize("w", WORDS, ids=("B4", "B5"))
+    def test_fdtc_exact_fits_under_the_cap(self, w):
+        r = fdtc_exact(w, cap=self.CAP)
+        assert (r.value, r.power_used, r.floor_of_power) == (1, 8, 8)
+
+    @pytest.mark.parametrize("w", WORDS, ids=("B4", "B5"))
+    def test_front_loaded_word_exceeds_the_cap(self, w):
+        delta2 = garside_delta(w.strands, squared=True)
+        with pytest.raises(ReductionCapError):
+            compare(free_reduce(w**8), delta2**9, cap=self.CAP)
 
 
 class TestDehornoyFloor:

@@ -64,8 +64,9 @@ _case("audit_meta_slice3_question15", ["audit", "{corpus}", "--predicates", "sli
 _case("audit_meta_ito_twice", ["audit", "{corpus}", "--predicates", "ito,ito"], META_CORPUS,
       json_too=False)
 
-# Lines that ended the whole audit with a traceback, or whose integer meta
-# values were silently truncated; each is followed by a good line.
+# Lines that ended the whole audit with a traceback, whose integer meta
+# values were silently truncated, or whose finite_concordance_order was read
+# by truthiness; each is followed by a good line.
 _GOOD_LINE = '{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/3"}}\n'
 for _name, _line in {
     "word_int": '{"n": 3, "word": 5}',
@@ -82,6 +83,8 @@ for _name, _line in {
     "expected_floor_true": '{"n": 3, "word": [1, 2], "meta": {"expected_floor": true}}',
     "g3_zero_denominator": '{"n": 3, "word": [1, 2], "meta": {"g3": "1/0"}}',
     "expected_fdtc_zero_denominator": '{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/0"}}',
+    "finite_concordance_order_string": '{"n": 3, "word": [1, -2], "meta": {"finite_concordance_order": "false"}}',
+    "finite_concordance_order_number": '{"n": 3, "word": [1, -2], "meta": {"finite_concordance_order": 1}}',
 }.items():
     _case(f"audit_{_name}", ["audit", "{corpus}"], _line + "\n" + _GOOD_LINE)
 

@@ -114,13 +114,19 @@ class Permutation:
 
 _TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
 
+# Default budget of handle reductions for one ordering computation, and
+# the most letters parse_word expands a text into.
+DEFAULT_STEP_CAP = 10_000_000
+
 
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse whitespace-separated letters into a word on n strands.
 
     Two token forms are accepted and may be mixed: signed integers
     ("1 2 -2 -1") and the alias form "s1 s2^-1" with an optional integer
-    exponent.  The empty string is the identity.
+    exponent.  The empty string is the identity.  An alias's generator and
+    the length it expands to (at most DEFAULT_STEP_CAP letters in all) are
+    checked before it is expanded.
     """
     if n < 2:
         raise ValueError(f"need at least 2 strands, got {n}")
@@ -134,6 +140,14 @@ def parse_word(text: str, n: int) -> BraidWord:
             if exponent == 0:
                 raise ValueError(f"zero exponent in token {token!r}")
             letter = index if exponent > 0 else -index
+            if not 1 <= index < n:
+                raise ValueError(
+                    f"letter {letter} is not a generator of the braid group on {n} strands"
+                )
+            if len(letters) + abs(exponent) > DEFAULT_STEP_CAP:
+                raise ValueError(
+                    f"token {token!r} expands the word past {DEFAULT_STEP_CAP} letters"
+                )
             letters.extend([letter] * abs(exponent))
             continue
         try:

@@ -28,8 +28,10 @@ adjacent opposite pair of that index around an interior of strictly
 larger index, which is a handle.
 
 Words live in a doubly-linked list held as flat integer arrays, so a
-splice is local and freed nodes are simply unlinked (and zeroed, never
-reused within a sweep).
+splice is local: a reduction rewrites the interior's sigma_(i+1) letters
+in place, links one new node on each side of each of them and unlinks
+the two outer letters (zeroed, never reused within a sweep), so memory
+follows the letters actually inserted.
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ from __future__ import annotations
 import enum
 import os
 
-from .braid import BraidWord, _free_reduce_letters, exponent_counts, permutation
+from .braid import (
+    DEFAULT_STEP_CAP,
+    BraidWord,
+    _free_reduce_letters,
+    exponent_counts,
+    permutation,
+)
 
 
 class OrderSign(enum.Enum):
@@ -55,7 +63,6 @@ class ReductionCapError(RuntimeError):
 
 
 STEP_CAP_ENV = "BRAIDTWIST_STEP_CAP"
-DEFAULT_STEP_CAP = 10_000_000
 
 # When set, every handle_reduce call double-checks that the exponent sum
 # and the underlying permutation survived the rewrite.  The test suite
@@ -125,64 +132,69 @@ def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int
         g = let[cur]
         i = g if g > 0 else -g
         popped: list[int] = []
+        o = -1  # the index-i stack entry left on top, if any
         while stack:
-            h = let[stack[-1]]
-            if (h if h > 0 else -h) > i:
+            top = stack[-1]
+            h = let[top]
+            hi = h if h > 0 else -h
+            if hi > i:
                 popped.append(stack.pop())
             else:
+                if hi == i:
+                    o = top
                 break
-        o = stack[-1] if stack and abs(let[stack[-1]]) == i else -1
         if o >= 0 and let[o] == -g:
             # A handle closes here.  Everything popped above sits inside
-            # it and dies with it.
+            # it and is read again once the interior is rewritten.
             steps += 1
             if steps > cap:
                 raise ReductionCapError(
                     f"handle reduction exceeded the {cap}-step cap"
                 )
             reductions += 1
-            opener = -g
+            # Rewrite the interior in place: each sigma_(i+1)^d becomes
+            # sigma_i^d with one new node on each side, letters of index
+            # > i+1 stay, and the opener and the closer are unlinked.
             ip1 = i + 1
-            rep: list[int] = []
+            left, right = (ip1, -ip1) if g > 0 else (-ip1, ip1)
             y = nxt[o]
             while y != cur:
                 h = let[y]
                 hi = h if h > 0 else -h
+                after = nxt[y]
                 if hi == ip1:
-                    if opener > 0:
-                        rep.append(-ip1)
-                        rep.append(i if h > 0 else -i)
-                        rep.append(ip1)
-                    else:
-                        rep.append(ip1)
-                        rep.append(i if h > 0 else -i)
-                        rep.append(-ip1)
+                    let[y] = i if h > 0 else -i
+                    before = prv[y]
+                    idx = len(let)
+                    let.append(left)
+                    let.append(right)
+                    nxt.append(y)
+                    nxt.append(after)
+                    prv.append(before)
+                    prv.append(y)
+                    saved.append(())
+                    saved.append(())
+                    nxt[before] = idx
+                    prv[y] = idx
+                    nxt[y] = idx + 1
+                    prv[after] = idx + 1
                 elif hi <= i:
                     raise RuntimeError(
                         "handle interior holds an index <= that of the handle (engine bug)"
                     )
-                else:
-                    rep.append(h)
-                let[y] = 0  # freed; slots are never reused within a sweep
-                y = nxt[y]
+                y = after
             b = prv[o]
+            first = nxt[o]
+            nxt[b] = first
+            prv[first] = b
+            last = prv[cur]
             after = nxt[cur]
+            nxt[last] = after
+            prv[after] = last
             let[o] = 0
             let[cur] = 0
             stack.pop()
             stack.extend(saved[o])  # the stack exactly as before the opener was read
-            node = b
-            for h in rep:
-                idx = len(let)
-                let.append(h)
-                nxt.append(0)
-                prv.append(0)
-                saved.append(())
-                nxt[node] = idx
-                prv[idx] = node
-                node = idx
-            nxt[node] = after
-            prv[after] = node
             cur = nxt[b]
         else:
             if o >= 0:  # same sign: supersede the old index-i entry

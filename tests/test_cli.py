@@ -298,6 +298,62 @@ class TestAuditFuzz:
         assert code == (1 if records[-1]["summary"]["errors"] else 0)
 
 
+# Word and syllable text: signed integers, aliases with small exponents
+# or with exponents past the letter bound, and arbitrary short junk.
+exponents = st.integers(-4, 4) | st.integers(min_value=10**7) | st.integers(max_value=-(10**7))
+alias_tokens = st.builds(
+    lambda index, exponent: f"s{index}" if exponent is None else f"s{index}^{exponent}",
+    st.integers(0, 7) | st.integers(min_value=10**6),
+    st.none() | exponents,
+)
+word_texts = st.lists(
+    st.integers(-7, 7).map(str) | alias_tokens | st.text(max_size=4), max_size=6
+).map(" ".join)
+syllable_texts = st.lists(
+    st.builds(
+        lambda word, generator, sign: f"{word} | {generator} | {sign}",
+        st.lists(st.integers(-5, 5).map(str) | alias_tokens, max_size=3).map(" ".join),
+        st.integers(-1, 6).map(str) | st.text(max_size=3),
+        st.sampled_from(("+", "-")) | st.text(max_size=2),
+    )
+    | st.text(max_size=8),
+    max_size=3,
+).map("; ".join)
+
+
+class TestTextFuzz:
+    """parse_word and parse_syllables through the CLI: no traceback, exit 0, 1 or 2."""
+
+    @staticmethod
+    def run_quietly(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        return code, err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @example("sign", 3, "s1^1000000000000")
+    @example("floor", 3, "s1^-1000000000000")
+    @example("sign", 3, "s5^1000000000000")
+    @given(st.sampled_from(("sign", "floor")), st.integers(2, 6), word_texts)
+    def test_word_text(self, command, strands, text):
+        self.run_quietly([command, "--strands", str(strands), "--", text])
+
+    @settings(max_examples=100, deadline=None)
+    @example(False, 3, "s1^1000000000000 | 1 | +")
+    @given(st.booleans(), st.integers(2, 5), syllable_texts)
+    def test_syllable_text(self, check, strands, text):
+        argv = ["qp", "--strands", str(strands)] + ["--check"] * check + ["--", text]
+        self.run_quietly(argv)
+
+    def test_huge_exponent_is_rejected_before_expanding(self):
+        code, err = self.run_quietly(["sign", "--strands", "3", "s1^1000000000000"])
+        assert code == 1
+        assert "s1^1000000000000" in err
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(["floor", "1 2"]) == 2

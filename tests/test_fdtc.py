@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,19 @@ from braidtwist.fdtc import (
 def random_word(rng, n, length):
     gens = [g for g in range(-(n - 1), n) if g]
     return BraidWord(n, [rng.choice(gens) for _ in range(length)])
+
+
+# Words whose every search probe and certificate compare gets flipped.
+FLIP_WORDS = (
+    BraidWord(3, [1, 2]),
+    BraidWord(4, [1, 2, -3, 2]),
+    BraidWord(5, [4, 3, 2, 1, 1]),
+    BraidWord(3, [-1, -1, -2]),
+    BraidWord(3, [2, 1] * 7 + [-2] * 6),  # Ktd(2, 3), floor 2
+    BraidWord(4, [1, 2, 3] * 5 + [-3, 1, -2]),
+    BraidWord(3, [1, -2, 1, 1, -2, 2, -1]),
+    BraidWord(3, []),
+)
 
 
 @st.composite
@@ -123,6 +137,20 @@ class TestDehornoyFloor:
             shifted = (delta2 ** c) * beta
             assert dehornoy_floor(shifted).floor == c + dehornoy_floor(beta).floor
 
+    def test_floor_makes_two_compares(self, monkeypatch):
+        """The Dynnikov search finds the floor; handle reduction only certifies it."""
+        calls = []
+
+        def counting(a, b, *, cap=None):
+            calls.append(a)
+            return compare(a, b, cap=cap)
+
+        monkeypatch.setattr(fdtc, "compare", counting)
+        for w in FLIP_WORDS:
+            calls.clear()
+            dehornoy_floor(w)
+            assert len(calls) == 2
+
 
 class TestFdtcInterval:
     def test_identity(self):
@@ -204,28 +232,38 @@ class TestFdtcExact:
             assert doubled - 2 * floor in (0, 1)
 
     def test_any_flipped_comparison_raises(self, monkeypatch):
-        """One wrong order comparison, probe or certificate, must never yield a value."""
-        original = fdtc.compare
+        """One wrong answer, Dynnikov search probe or certificate compare,
+        must never yield a value from fdtc_exact or dehornoy_floor: each
+        is flipped in turn."""
+        probe, compare = fdtc._PowerSearch.at_least, fdtc.compare
 
-        def flipping(k, seen):
-            def compare(a, b, *, cap=None):
-                sign = original(a, b, cap=cap)
-                seen.append(sign)
-                if len(seen) - 1 != k:
-                    return sign
-                return OrderSign.GREATER if sign is OrderSign.LESS else OrderSign.LESS
+        def flipping(original, flip, k, seen):
+            def wrapper(*args, **kwargs):
+                answer = original(*args, **kwargs)
+                seen.append(answer)
+                return flip(answer) if len(seen) - 1 == k else answer
 
-            return compare
+            return wrapper
 
-        for w in (BraidWord(3, [1, 2]), BraidWord(4, [1, 2, -3, 2]), BraidWord(5, [4, 3, 2, 1, 1])):
+        def flip_sign(sign):
+            return OrderSign.GREATER if sign is OrderSign.LESS else OrderSign.LESS
+
+        targets = (
+            (fdtc._PowerSearch, "at_least", probe, lambda answer: not answer),
+            (fdtc, "compare", compare, flip_sign),
+        )
+        for function, w, (owner, name, original, flip) in itertools.product(
+            (fdtc_exact, dehornoy_floor), FLIP_WORDS, targets
+        ):
             seen = []
-            monkeypatch.setattr(fdtc, "compare", flipping(-1, seen))
-            fdtc_exact(w)
+            monkeypatch.setattr(owner, name, flipping(original, flip, -1, seen))
+            function(w)
+            assert seen
             for k in range(len(seen)):
-                monkeypatch.setattr(fdtc, "compare", flipping(k, []))
+                monkeypatch.setattr(owner, name, flipping(original, flip, k, []))
                 with pytest.raises(RuntimeError):
-                    fdtc_exact(w)
-
+                    function(w)
+            monkeypatch.setattr(owner, name, original)
 
 class TestWordSignBounds:
     def test_mixed_indices_pin_zero(self):

@@ -1,7 +1,7 @@
 """Print the Dehornoy floor over the (sigma_2 sigma_1)^{3m+1} sigma_2^{-2k} grid.
 
 Every row should read m across all k; anything else is a bug worth
-keeping a reproduction for.
+keeping a reproduction for.  Exit status 1 if any entry differs.
 
 Usage: python3 scripts/family_floor_grid.py [--max-m 6] [--max-k 10]
 """
@@ -9,12 +9,13 @@ Usage: python3 scripts/family_floor_grid.py [--max-m 6] [--max-k 10]
 from __future__ import annotations
 
 import argparse
+import sys
 
 from braidtwist.families import Ktd, generate
 from braidtwist.fdtc import dehornoy_floor
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-m", type=int, default=6)
     parser.add_argument("--max-k", type=int, default=10)
@@ -31,7 +32,8 @@ def main() -> None:
             mismatches += floor != m
         print(f"{m:>3} " + " ".join(f"{f:>3}" for f in row))
     print(f"{mismatches} mismatches")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -44,6 +44,15 @@ class BraidWord:
                     f"on {self.strands} strands"
                 )
 
+    @classmethod
+    def _unchecked(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":
+        """A word from letters already known to be generators on ``strands``
+        strands, such as those of a validated word; skips __post_init__."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "strands", strands)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -53,14 +62,14 @@ class BraidWord:
             raise ValueError(
                 f"strand counts differ: {self.strands} vs {other.strands}"
             )
-        return BraidWord(self.strands, self.letters + other.letters)
+        return BraidWord._unchecked(self.strands, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-g for g in reversed(self.letters)))
+        return BraidWord._unchecked(self.strands, tuple(-g for g in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "BraidWord":
         if k >= 0:
-            return BraidWord(self.strands, self.letters * k)
+            return BraidWord._unchecked(self.strands, self.letters * k)
         return self.inverse() ** (-k)
 
     def conjugate_by(self, c: "BraidWord") -> "BraidWord":
@@ -177,7 +186,7 @@ def _free_reduce_letters(letters) -> list[int]:
 
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent inverse pairs until none remain.  Idempotent."""
-    return BraidWord(w.strands, tuple(_free_reduce_letters(w.letters)))
+    return BraidWord._unchecked(w.strands, tuple(_free_reduce_letters(w.letters)))
 
 
 def _conjugate_split(letters) -> tuple[list[int], list[int]]:
@@ -210,7 +219,7 @@ def garside_delta(n: int, *, squared: bool = False) -> BraidWord:
     if n < 2:
         raise ValueError(f"need at least 2 strands, got {n}")
     letters = _delta_letters(n)
-    return BraidWord(n, letters + letters if squared else letters)
+    return BraidWord._unchecked(n, letters + letters if squared else letters)
 
 
 def exponent_counts(w: BraidWord) -> tuple[int, int, int]:

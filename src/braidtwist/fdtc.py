@@ -23,25 +23,43 @@ grows from P to 2P by applying u P more times, and a probe copies it
 and applies c^-1 and |t| blocks of Delta^(-+2).  Nothing is rewritten,
 and no probe re-reads the power.
 
-Every returned value is then certified by handle reduction (the
-ordering module): two fresh comparisons Delta^(2f) <= b^P <
-Delta^(2f+2) on the final power, so a wrong search answer can only
-raise RuntimeError, never return a value.  A handle reduction's cost
-depends on where the letters sit, not only on how many there are: on
-the words of the fdtc_small_n benchmark, Delta^(-2t) b^P with all the
-inverse twists in front takes about 2.5 times as long to reduce as the
-same braid with the twists spread through the power.  So each
-certificate comparison reduces the spread word
+Every returned floor is then certified by handle reduction (the
+ordering module): fresh comparisons of the form Delta^(2t) <= b^Q, so a
+wrong search answer can only raise RuntimeError, never return a value.
+A handle reduction's cost depends on where the letters sit, not only on
+how many there are: on the words of the fdtc_small_n benchmark,
+Delta^(-2t) b^Q with all the inverse twists in front takes about 2.5
+times as long to reduce as the same braid with the twists spread
+through the power.  So each certificate comparison reduces the spread
+word
 
-    c (Delta^(-2 k_1) u) (Delta^(-2 k_2) u) ... (Delta^(-2 k_P) u) c^-1,
-    k_j = floor(j t / P) - floor((j - 1) t / P),
+    c (Delta^(-2 k_1) u) (Delta^(-2 k_2) u) ... (Delta^(-2 k_Q) u) c^-1,
+    k_j = floor(j t / Q) - floor((j - 1) t / Q),
 
 so the k_j sum to t and each copy of u carries its share of the twists
-(positive twist blocks when t < 0).  The word equals Delta^(-2t) b^P
-because Delta^2 is central and c^-1 c cancels freely; nothing from the
-engine goes into building it.  The step cap (`cap`) bounds these
-certificate reductions only; a Dynnikov probe costs O(n (|b| P + |t| n))
-integer operations and needs no budget.
+(positive twist blocks when t < 0).  The word equals Delta^(-2t) b^Q
+because Delta^2 is central and c^-1 c cancels freely; it is built from
+the same split c, u that the search holds, and nothing from the engine
+goes into it.
+
+The floor f of a power b^P (P a power of two) is certified on the
+smallest powers that prove it.  With Q = P / 2^v2(f) and
+Q' = P / 2^v2(f+1), neither below 1 (f = 0 goes to Q = 1), and
+a = f Q / P, a' = (f + 1) Q' / P:
+
+    Delta^(2a) <= b^Q    gives   Delta^(2f) <= b^P,
+    b^Q' < Delta^(2a')   gives   b^P < Delta^(2f+2),
+
+because the positive and the negative cone are each closed under
+products and Delta^2 is central: raise each statement to the power P/Q
+or P/Q'.  Soundness rests on that alone.  The defect-1 bound on powers
+is needed only for completeness, to know that the smaller statements
+hold when the one at P does: [b^P]_D <= (P/Q) [b^Q]_D + P/Q - 1 forces
+[b^Q]_D > a - 1, and [b^Q']_D <= [b^P]_D Q'/P < a'.  Were it ever to
+fail, the certificate would raise RuntimeError, not return a value.  f
+and f + 1 are not both even, so one side stays at P.  The step cap (`cap`)
+bounds each certificate reduction; a Dynnikov probe costs
+O(n (|b| P + |t| n)) integer operations and needs no budget.
 """
 
 from __future__ import annotations
@@ -71,42 +89,31 @@ class FloorResult:
 
 @dataclass(frozen=True)
 class FdtcResult:
-    """Exact twist coefficient plus the certificate that pinned it."""
+    """Exact twist coefficient plus the certificate that pinned it.
+
+    power_used, floor_of_power and interval are the certificate:
+    Delta^(2 floor_of_power) <= w^power_used < Delta^(2 floor_of_power + 2).
+    floor is the certified Dehornoy floor of w itself (power 1).
+    """
 
     value: Fraction
     power_used: int
     floor_of_power: int
     interval: tuple[Fraction, Fraction]
-
-
-def _twisted_power(w: BraidWord, P: int, t: int) -> BraidWord:
-    """A word for Delta^(-2t) w^P with the t full twists spread through
-    the P copies of w's cyclically reduced core (see the module notes)."""
-    c, u = _conjugate_split(w.letters)
-    delta2 = garside_delta(w.strands, squared=True).letters
-    inverse = tuple(-g for g in reversed(delta2))
-    letters = list(c)
-    for j in range(1, P + 1):
-        k = j * t // P - (j - 1) * t // P
-        letters.extend((inverse if k > 0 else delta2) * abs(k))
-        letters.extend(u)
-    letters.extend(-g for g in reversed(c))
-    return BraidWord(w.strands, tuple(letters))
-
-
-def _at_least(w: BraidWord, P: int, t: int, *, cap: int | None = None) -> bool:
-    """Whether Delta^(2t) <= w^P, by one fresh handle reduction of _twisted_power."""
-    return compare(_twisted_power(w, P, t), BraidWord(w.strands), cap=cap) != OrderSign.LESS
+    floor: int
 
 
 class _PowerSearch:
     """Dynnikov probes Delta^(2t) <= w^P on the powers of w, sharing one
     state: the coordinates of c u^P for w = c u c^-1 (see the module
-    notes).  Nothing is reduced or rewritten."""
+    notes).  Nothing is reduced or rewritten.  The split c, u and the
+    full twist blocks also build the certificate words (twisted_power)."""
 
     def __init__(self, w: BraidWord) -> None:
+        self.strands = w.strands
         c, self._u = _conjugate_split(w.letters)
-        self._c_inverse = [-g for g in reversed(c)]
+        self._c = tuple(c)
+        self._c_inverse = tuple(-g for g in reversed(c))
         self._twist = garside_delta(w.strands, squared=True).letters
         self._untwist = tuple(-g for g in reversed(self._twist))
         self._state = dynnikov.act(dynnikov.start(w.strands), c + self._u)
@@ -154,13 +161,59 @@ class _PowerSearch:
                 hi = mid
         return lo
 
+    def twisted_power(self, P: int, t: int) -> BraidWord:
+        """A word for Delta^(-2t) w^P with the t full twists spread through
+        the P copies of the core u (see the module notes)."""
+        letters = list(self._c)
+        for j in range(1, P + 1):
+            k = j * t // P - (j - 1) * t // P
+            letters.extend((self._untwist if k > 0 else self._twist) * abs(k))
+            letters.extend(self._u)
+        letters.extend(self._c_inverse)
+        return BraidWord._unchecked(self.strands, tuple(letters))
 
-def _certify(w: BraidWord, P: int, f: int, cap: int | None) -> None:
-    """Raise unless Delta^(2f) <= w^P < Delta^(2f+2), by two handle reductions."""
-    if not _at_least(w, P, f, cap=cap) or _at_least(w, P, f + 1, cap=cap):
-        raise RuntimeError(
-            f"floor {f} of the power {P} failed its certificate (engine bug)"
-        )
+
+def _at_least(search: _PowerSearch, P: int, t: int, *, cap: int | None = None) -> bool:
+    """Whether Delta^(2t) <= w^P, by one fresh handle reduction of
+    search.twisted_power(P, t)."""
+    word = search.twisted_power(P, t)
+    return compare(word, BraidWord(search.strands), cap=cap) != OrderSign.LESS
+
+
+def _shrink(P: int, t: int) -> tuple[int, int]:
+    """(P / 2^j, t / 2^j) for the largest j with 2^j dividing both, P a
+    power of two (so t = 0 gives (1, 0)).  Either side of a floor
+    certificate that holds for the returned pair holds for (P, t) too
+    (module notes)."""
+    while P > 1 and t % 2 == 0:
+        P //= 2
+        t //= 2
+    return P, t
+
+
+def _certify(
+    search: _PowerSearch, floors: list[tuple[int, int]], cap: int | None
+) -> None:
+    """Raise unless Delta^(2f) <= w^P < Delta^(2f+2) for every (P, f) in floors.
+
+    Each side is proved on the smaller power _shrink gives it, by one
+    handle reduction bounded by cap; a side that two floors share is
+    reduced once, and two floors that claim opposite answers for the
+    same statement raise without any reduction.
+    """
+    claims: dict[tuple[int, int], bool] = {}
+    for P, f in floors:
+        for key, holds in ((_shrink(P, f), True), (_shrink(P, f + 1), False)):
+            if claims.setdefault(key, holds) != holds:
+                raise RuntimeError(
+                    f"floor {f} of the power {P} contradicts another floor (engine bug)"
+                )
+    for (Q, t), holds in claims.items():
+        if _at_least(search, Q, t, cap=cap) != holds:
+            raise RuntimeError(
+                f"Delta^{2 * t} {'<=' if holds else '>'} w^{Q} failed, so a "
+                f"floor failed its certificate (engine bug)"
+            )
 
 
 def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
@@ -171,8 +224,9 @@ def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     probe raises RuntimeError instead of returning a value.  cap bounds
     each of those two reductions.
     """
-    f = _PowerSearch(w).floor()
-    _certify(w, 1, f, cap)
+    search = _PowerSearch(w)
+    f = search.floor()
+    _certify(search, [(1, f)], cap)
     return FloorResult(floor=f)
 
 
@@ -191,6 +245,19 @@ def fdtc_interval(
     return Fraction(f, N), Fraction(f + 1, N)
 
 
+def _unique_rational(f: int, P: int, n: int) -> tuple[int, int] | None:
+    """(p, q) if [f/P, (f+1)/P] holds exactly one reduced p/q with
+    1 <= q <= n, else None.  Integer arithmetic only."""
+    found = None
+    for q in range(1, n + 1):
+        for p in range(-(-f * q // P), (f + 1) * q // P + 1):
+            if math.gcd(p, q) == 1:
+                if found is not None:
+                    return None
+                found = (p, q)
+    return found
+
+
 def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     """Exact fractional Dehn twist coefficient of the braid of w.
 
@@ -198,41 +265,44 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     quasimorphism bound, [w^(2P)]_D is 2f or 2f + 1, so each level costs
     one Dynnikov probe of w^(2P) against Delta^(2(2f+1)).  The search stops
     at the first P whose interval [f/P, (f+1)/P] holds exactly one
-    rational with denominator <= n; that always happens once P > n(n-1),
-    and no unique candidate by then means the engine is broken, not the
-    input.  (P = 1 never stops: [f, f+1] holds f, f + 1/2 and f + 1.)
+    rational with denominator <= n (one integer count per level); that
+    always happens once P > n(n-1), and no unique candidate by then means
+    the engine is broken, not the input.  (P = 1 never stops: [f, f+1]
+    holds f, f + 1/2 and f + 1.)
 
     The floor at P = 1 and the doubling probes come from one Dynnikov
-    search (the module notes).  The returned floor is certified on w^P
-    alone by two handle-reduction comparisons, Delta^(2f) <= w^P <
-    Delta^(2f+2), each its own reduction of the spread word and bounded
-    by cap, so neither the lemma nor any probe is trusted: a single
-    wrong answer anywhere raises RuntimeError instead of returning a
-    value.
+    search (the module notes).  Handle reduction then certifies both
+    floors: [w]_D = f1 by Delta^(2 f1) <= w < Delta^(2 f1 + 2), and
+    [w^P]_D = f with each side on the smallest power that proves it
+    (module notes), a side that shrinks to the power 1 sharing the P = 1
+    comparison: three or four comparisons in all, each a fresh reduction
+    bounded by cap.  Their soundness rests only on the cones being closed
+    under products, so neither the defect-1 bound nor any probe is
+    trusted: a single wrong answer anywhere raises RuntimeError instead
+    of returning a value.  The result carries the certified f1 as floor.
     """
     n = w.strands
     search = _PowerSearch(w)
-    P, f = 1, search.floor()
-    lo, hi = Fraction(f), Fraction(f + 1)
-    candidates: set[Fraction] = set()  # P = 1 is never unique, so no need to test it
-    while len(candidates) != 1:
+    floor = search.floor()
+    P, f = 1, floor
+    rational = None  # P = 1 is never unique, so no need to test it
+    while rational is None:
         if P > n * (n - 1):
             raise RuntimeError(
                 f"expected exactly one rational with denominator <= {n} in "
-                f"[{lo}, {hi}], found {sorted(candidates)} (engine bug)"
+                f"[{Fraction(f, P)}, {Fraction(f + 1, P)}] (engine bug)"
             )
         search.double()
         P = search.power
         f = 2 * f + search.at_least(2 * f + 1)
-        lo, hi = Fraction(f, P), Fraction(f + 1, P)
-        candidates = {
-            Fraction(p, q)
-            for q in range(1, n + 1)
-            for p in range(math.ceil(lo * q), math.floor(hi * q) + 1)
-        }
-    _certify(w, P, f, cap)
+        rational = _unique_rational(f, P, n)
+    _certify(search, [(1, floor), (P, f)], cap)
     return FdtcResult(
-        value=candidates.pop(), power_used=P, floor_of_power=f, interval=(lo, hi)
+        value=Fraction(*rational),
+        power_used=P,
+        floor_of_power=f,
+        interval=(Fraction(f, P), Fraction(f + 1, P)),
+        floor=floor,
     )
 
 

@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .braid import BraidWord, closure_components, exponent_counts
-from .fdtc import dehornoy_floor, fdtc_exact
+# dehornoy_floor is not called here; bench/spans.py wraps it under this module's name.
+from .fdtc import dehornoy_floor, fdtc_exact  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def audit_bounds(
     predicates: list[str] | tuple[str, ...] | None = None,
     cap: int | None = None,
 ) -> dict:
-    """Evaluate the bound predicates against computed floor and BT.
+    """Evaluate the bound predicates against the floor and BT of one fdtc_exact call.
 
     With predicates=None, every predicate whose inputs were supplied is
     evaluated; explicitly requesting one without its inputs is an error.
@@ -203,8 +204,8 @@ def audit_bounds(
             p.check(values)
 
     n = w.strands
-    floor = dehornoy_floor(w, cap=cap).floor
-    bt = fdtc_exact(w, cap=cap).value
+    result = fdtc_exact(w, cap=cap)  # one search: BT and the certified floor
+    floor, bt = result.floor, result.value
     record: dict = {
         "strands": n,
         "floor": floor,

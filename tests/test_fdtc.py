@@ -12,7 +12,8 @@ from braidtwist.braid import free_reduce
 from braidtwist.fdtc import (
     FLOOR_CONVENTION,
     _at_least,
-    _twisted_power,
+    _PowerSearch,
+    _shrink,
     dehornoy_floor,
     destab_bounds,
     fdtc_exact,
@@ -63,21 +64,49 @@ class TestTwistedPower:
     @settings(max_examples=30, deadline=None)
     def test_same_braid_and_same_decision(self, w):
         delta2 = garside_delta(w.strands, squared=True)
+        search = _PowerSearch(w)
         for P in (1, 2, 4):
             power = free_reduce(w**P)
             floor = dehornoy_floor(power).floor
             for t in range(floor - 3, floor + 4):
-                twisted = _twisted_power(w, P, t)
+                twisted = search.twisted_power(P, t)
                 assert compare(twisted, delta2 ** (-t) * power) is OrderSign.EQUAL
-                assert _at_least(w, P, t) == (compare(power, delta2**t) is not OrderSign.LESS)
+                assert _at_least(search, P, t) == (compare(power, delta2**t) is not OrderSign.LESS)
 
     def test_twists_are_spread_over_the_copies(self):
-        w = BraidWord(3, [2, 1, -2])  # c = [2], u = [1]
+        search = _PowerSearch(BraidWord(3, [2, 1, -2]))  # c = [2], u = [1]
         inverse = [-1, -2, -1, -1, -2, -1]
-        assert list(_twisted_power(w, 4, 2).letters) == (
+        assert list(search.twisted_power(4, 2).letters) == (
             [2, 1] + inverse + [1, 1] + inverse + [1, -2]
         )
-        assert list(_twisted_power(w, 2, -1).letters) == [2, 1, 2, 1, 1, 2, 1, 1, 1, -2]
+        assert list(search.twisted_power(2, -1).letters) == [2, 1, 2, 1, 1, 2, 1, 1, 1, -2]
+
+
+class TestShrunkPowers:
+    def test_shrink(self):
+        assert _shrink(8, 12) == (2, 3)
+        assert _shrink(8, 9) == (8, 9)
+        assert _shrink(8, 0) == (1, 0)
+        assert _shrink(4, -8) == (1, -2)
+        assert _shrink(1, 6) == (1, 6)
+
+    @given(small_words())
+    @settings(max_examples=40, deadline=None)
+    def test_smaller_power_decides_the_same(self, w):
+        """Delta^(2t) <= w^P exactly when Delta^(2t/2^j) <= w^(P/2^j), on
+        both sides of the floor of the smaller power, and both agree with
+        a front-loaded comparison of the freely reduced power."""
+        delta2 = garside_delta(w.strands, squared=True)
+        search = _PowerSearch(w)
+        for P in (2, 4, 8):
+            power = free_reduce(w**P)
+            for j in range(1, P.bit_length()):
+                Q = P >> j
+                floor = _PowerSearch(free_reduce(w**Q)).floor()
+                for s in (floor, floor + 1):
+                    t = s << j
+                    oracle = compare(power, delta2**t) is not OrderSign.LESS
+                    assert _at_least(search, P, t) == _at_least(search, Q, t >> j) == oracle
 
 
 class TestStepBudget:
@@ -136,6 +165,11 @@ class TestDehornoyFloor:
             c = rng.randint(-3, 3)
             shifted = (delta2 ** c) * beta
             assert dehornoy_floor(shifted).floor == c + dehornoy_floor(beta).floor
+
+    @given(small_words())
+    @settings(max_examples=25, deadline=None)
+    def test_fdtc_exact_reports_the_same_floor(self, w):
+        assert fdtc_exact(w).floor == dehornoy_floor(w).floor
 
     def test_floor_makes_two_compares(self, monkeypatch):
         """The Dynnikov search finds the floor; handle reduction only certifies it."""
@@ -230,6 +264,32 @@ class TestFdtcExact:
             floor = dehornoy_floor(free_reduce(w**P)).floor
             doubled = dehornoy_floor(free_reduce(w ** (2 * P))).floor
             assert doubled - 2 * floor in (0, 1)
+
+    def test_three_or_four_certificate_compares(self, monkeypatch):
+        """The P = 1 floor and the floor f of w^P, each side on its smallest
+        power; a side that shrinks to the power 1 is the P = 1 compare."""
+        claims = []
+
+        def recording(search, P, t, *, cap=None):
+            claims.append((P, t))
+            return _at_least(search, P, t, cap=cap)
+
+        monkeypatch.setattr(fdtc, "_at_least", recording)
+        for w in FLIP_WORDS:
+            claims.clear()
+            fdtc_exact(w)
+            assert 3 <= len(claims) <= 4
+        # Even f: the lower side Delta^(2f) <= w^P is proved at a power below P.
+        cases = (
+            (BraidWord(3, [1, 2] * 4), [(1, 1), (1, 2), (4, 5), (8, 11)]),  # f = 10 at P = 8
+            (BraidWord(3, [2, 1] * 7 + [-2] * 6), [(1, 2), (1, 3), (4, 9)]),  # f = 8 at P = 4
+        )
+        for w, want in cases:
+            claims.clear()
+            r = fdtc_exact(w)
+            assert r.floor_of_power % 2 == 0
+            assert claims == want
+            assert (r.power_used, r.floor_of_power) not in claims
 
     def test_any_flipped_comparison_raises(self, monkeypatch):
         """One wrong answer, Dynnikov search probe or certificate compare,

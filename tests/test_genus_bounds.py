@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import braidtwist.fdtc as fdtc
 import braidtwist.genus_bounds as genus_bounds
 from braidtwist import BraidWord, garside_delta
 from braidtwist.genus_bounds import (
@@ -150,6 +151,22 @@ class TestAuditBounds:
     def test_rejects_links(self):
         with pytest.raises(ValueError, match="not a knot"):
             audit_bounds(garside_delta(3, squared=True), g3=1)
+
+    def test_one_floor_search_per_line(self, monkeypatch):
+        """The floor and BT come from one fdtc_exact call, so one search."""
+        searches = []
+
+        class Counting(fdtc._PowerSearch):
+            def __init__(self, w):
+                searches.append(w)
+                super().__init__(w)
+
+        monkeypatch.setattr(fdtc, "_PowerSearch", Counting)
+        for letters in ([1, 2] * 4, [2, 1] * 7 + [-2] * 6, [1, -2]):
+            searches.clear()
+            record = audit_bounds(BraidWord(3, letters), g3=3)
+            assert len(searches) == 1
+            assert record["floor"] == fdtc.dehornoy_floor(BraidWord(3, letters)).floor
 
     def test_predicate_registry(self):
         assert PREDICATES == ("ito", "question15", "slice3", "qp")

@@ -33,14 +33,24 @@ times as long to reduce as the same braid with the twists spread
 through the power.  So each certificate comparison reduces the spread
 word
 
-    c (Delta^(-2 k_1) u) (Delta^(-2 k_2) u) ... (Delta^(-2 k_Q) u) c^-1,
+    c B(k_1) B(k_2) ... B(k_Q) c^-1,    B(k) = Delta^(-2k) u,
     k_j = floor(j t / Q) - floor((j - 1) t / Q),
 
 so the k_j sum to t and each copy of u carries its share of the twists
-(positive twist blocks when t < 0).  The word equals Delta^(-2t) b^Q
-because Delta^2 is central and c^-1 c cancels freely; it is built from
-the same split c, u that the search holds, and nothing from the engine
-goes into it.
+(positive twist blocks when t < 0).  The k_j take at most two values,
+floor(t/Q) and the one above, so the word is built from at most two
+distinct blocks.  A block that fills two or more copies is
+handle-reduced once, the first time any comparison needs it, and reused
+from then on, so the comparison starts from reduced copies instead of
+reducing each copy again.  A block that fills a single copy is left as
+written: there is no repeated work to save, and on a long Delta^2
+reducing it ahead costs more than it saves (it made
+fdtc_exact(BraidWord(200, [1, 2])) about a fifth slower).  At Q = 1
+nothing is reduced ahead.  The word equals Delta^(-2t) b^Q because
+Delta^2 is central, c^-1 c cancels freely and every handle reduction is
+an identity in B_n; it is built from the same split c, u that the
+search holds, and only the handle reduction engine goes into it:
+nothing from the search does.
 
 The floor f of a power b^P (P a power of two) is certified on the
 smallest powers that prove it.  With Q = P / 2^v2(f) and
@@ -57,9 +67,15 @@ is needed only for completeness, to know that the smaller statements
 hold when the one at P does: [b^P]_D <= (P/Q) [b^Q]_D + P/Q - 1 forces
 [b^Q]_D > a - 1, and [b^Q']_D <= [b^P]_D Q'/P < a'.  Were it ever to
 fail, the certificate would raise RuntimeError, not return a value.  f
-and f + 1 are not both even, so one side stays at P.  The step cap (`cap`)
-bounds each certificate reduction; a Dynnikov probe costs
-O(n (|b| P + |t| n)) integer operations and needs no budget.
+and f + 1 are not both even, so one side stays at P.
+
+The certified f also certifies the floor of b itself, with no further
+comparison: the same cone closure turns Delta^(2[b]_D) <= b <
+Delta^(2[b]_D + 2) into P [b]_D <= f <= P [b]_D + P - 1, so
+[b]_D = floor(f / P).  The step cap (`cap`) is resolved once per call
+and bounds each block reduction and each certificate reduction; a
+Dynnikov probe costs O(n (|b| P + |t| n)) integer operations and needs
+no budget.
 """
 
 from __future__ import annotations
@@ -68,7 +84,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import dynnikov
+from . import dynnikov, ordering
 from .braid import (
     BraidWord,
     _conjugate_split,
@@ -93,7 +109,8 @@ class FdtcResult:
 
     power_used, floor_of_power and interval are the certificate:
     Delta^(2 floor_of_power) <= w^power_used < Delta^(2 floor_of_power + 2).
-    floor is the certified Dehornoy floor of w itself (power 1).
+    floor is the Dehornoy floor of w itself, floor_of_power // power_used,
+    which that certificate proves too (module notes).
     """
 
     value: Fraction
@@ -106,18 +123,21 @@ class FdtcResult:
 class _PowerSearch:
     """Dynnikov probes Delta^(2t) <= w^P on the powers of w, sharing one
     state: the coordinates of c u^P for w = c u c^-1 (see the module
-    notes).  Nothing is reduced or rewritten.  The split c, u and the
-    full twist blocks also build the certificate words (twisted_power)."""
+    notes); a probe reduces and rewrites nothing.  The split c, u and the
+    full twist blocks also build the certificate words (twisted_power),
+    whose handle-reduced blocks Delta^(-2k) u are kept per k."""
 
     def __init__(self, w: BraidWord) -> None:
         self.strands = w.strands
-        c, self._u = _conjugate_split(w.letters)
+        c, u = _conjugate_split(w.letters)
         self._c = tuple(c)
+        self._u = tuple(u)
         self._c_inverse = tuple(-g for g in reversed(c))
         self._twist = garside_delta(w.strands, squared=True).letters
         self._untwist = tuple(-g for g in reversed(self._twist))
-        self._state = dynnikov.act(dynnikov.start(w.strands), c + self._u)
+        self._state = dynnikov.act(dynnikov.start(w.strands), c + u)
         self._length = len(w)
+        self._blocks: dict[int, tuple[int, ...]] = {}
         self.power = 1
 
     def double(self) -> None:
@@ -161,22 +181,39 @@ class _PowerSearch:
                 hi = mid
         return lo
 
-    def twisted_power(self, P: int, t: int) -> BraidWord:
+    def _twisted_core(self, k: int) -> tuple[int, ...]:
+        """The letters of Delta^(-2k) u as written."""
+        return (self._untwist if k > 0 else self._twist) * abs(k) + self._u
+
+    def block(self, k: int, *, cap: int | None = None) -> tuple[int, ...]:
+        """Letters of a handle-reduced word for Delta^(-2k) u: empty or
+        sigma-definite, reduced (bounded by cap) the first time k is asked
+        for and kept for every later call."""
+        letters = self._blocks.get(k)
+        if letters is None:
+            word = BraidWord._unchecked(self.strands, self._twisted_core(k))
+            letters = self._blocks[k] = ordering.handle_reduce(word, cap=cap).letters
+        return letters
+
+    def twisted_power(self, P: int, t: int, *, cap: int | None = None) -> BraidWord:
         """A word for Delta^(-2t) w^P with the t full twists spread through
-        the P copies of the core u (see the module notes)."""
+        the P copies of the core u, a block that fills two or more copies
+        written reduced (see the module notes)."""
+        low, high = divmod(t, P)  # high copies carry low + 1 twists, the rest low
+        once = {low: P - high == 1, low + 1: high == 1}
         letters = list(self._c)
         for j in range(1, P + 1):
             k = j * t // P - (j - 1) * t // P
-            letters.extend((self._untwist if k > 0 else self._twist) * abs(k))
-            letters.extend(self._u)
+            letters.extend(self._twisted_core(k) if once[k] else self.block(k, cap=cap))
         letters.extend(self._c_inverse)
         return BraidWord._unchecked(self.strands, tuple(letters))
 
 
 def _at_least(search: _PowerSearch, P: int, t: int, *, cap: int | None = None) -> bool:
-    """Whether Delta^(2t) <= w^P, by one fresh handle reduction of
-    search.twisted_power(P, t)."""
-    word = search.twisted_power(P, t)
+    """Whether Delta^(2t) <= w^P, by one handle reduction of
+    search.twisted_power(P, t), whose blocks are reduced at most once
+    per search."""
+    word = search.twisted_power(P, t, cap=cap)
     return compare(word, BraidWord(search.strands), cap=cap) != OrderSign.LESS
 
 
@@ -191,24 +228,11 @@ def _shrink(P: int, t: int) -> tuple[int, int]:
     return P, t
 
 
-def _certify(
-    search: _PowerSearch, floors: list[tuple[int, int]], cap: int | None
-) -> None:
-    """Raise unless Delta^(2f) <= w^P < Delta^(2f+2) for every (P, f) in floors.
-
-    Each side is proved on the smaller power _shrink gives it, by one
-    handle reduction bounded by cap; a side that two floors share is
-    reduced once, and two floors that claim opposite answers for the
-    same statement raise without any reduction.
+def _certify(search: _PowerSearch, P: int, f: int, cap: int) -> None:
+    """Raise unless Delta^(2f) <= w^P < Delta^(2f+2): two comparisons,
+    each side on the smaller power _shrink gives it, each bounded by cap.
     """
-    claims: dict[tuple[int, int], bool] = {}
-    for P, f in floors:
-        for key, holds in ((_shrink(P, f), True), (_shrink(P, f + 1), False)):
-            if claims.setdefault(key, holds) != holds:
-                raise RuntimeError(
-                    f"floor {f} of the power {P} contradicts another floor (engine bug)"
-                )
-    for (Q, t), holds in claims.items():
+    for (Q, t), holds in ((_shrink(P, f), True), (_shrink(P, f + 1), False)):
         if _at_least(search, Q, t, cap=cap) != holds:
             raise RuntimeError(
                 f"Delta^{2 * t} {'<=' if holds else '>'} w^{Q} failed, so a "
@@ -222,11 +246,13 @@ def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     A Dynnikov search (_PowerSearch.floor) finds t; two handle-reduction
     comparisons, Delta^(2t) <= w < Delta^(2t+2), certify it, so a wrong
     probe raises RuntimeError instead of returning a value.  cap bounds
-    each of those two reductions.
+    each of those two reductions and the reduction of each twist block
+    they are built from.
     """
+    cap = ordering._effective_cap(cap)
     search = _PowerSearch(w)
     f = search.floor()
-    _certify(search, [(1, f)], cap)
+    _certify(search, 1, f, cap)
     return FloorResult(floor=f)
 
 
@@ -271,16 +297,16 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     holds f, f + 1/2 and f + 1.)
 
     The floor at P = 1 and the doubling probes come from one Dynnikov
-    search (the module notes).  Handle reduction then certifies both
-    floors: [w]_D = f1 by Delta^(2 f1) <= w < Delta^(2 f1 + 2), and
-    [w^P]_D = f with each side on the smallest power that proves it
-    (module notes), a side that shrinks to the power 1 sharing the P = 1
-    comparison: three or four comparisons in all, each a fresh reduction
-    bounded by cap.  Their soundness rests only on the cones being closed
-    under products, so neither the defect-1 bound nor any probe is
-    trusted: a single wrong answer anywhere raises RuntimeError instead
-    of returning a value.  The result carries the certified f1 as floor.
+    search (the module notes).  Handle reduction then certifies
+    [w^P]_D = f with two comparisons, each side on the smallest power
+    that proves it (module notes), each bounded by cap, as is the
+    reduction of each twist block they are built from.  The floor of w
+    follows as f // P, and the search's floor must equal it.  Soundness
+    rests only on the cones being closed under products, so neither the
+    defect-1 bound nor any probe is trusted: a single wrong answer
+    anywhere raises RuntimeError instead of returning a value.
     """
+    cap = ordering._effective_cap(cap)
     n = w.strands
     search = _PowerSearch(w)
     floor = search.floor()
@@ -296,7 +322,12 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
         P = search.power
         f = 2 * f + search.at_least(2 * f + 1)
         rational = _unique_rational(f, P, n)
-    _certify(search, [(1, floor), (P, f)], cap)
+    _certify(search, P, f, cap)
+    if f // P != floor:  # each doubling keeps f in [P floor, P floor + P - 1]
+        raise RuntimeError(
+            f"the search put the floor of w at {floor}, the certified floor "
+            f"{f} of its power {P} at {f // P} (engine bug)"
+        )
     return FdtcResult(
         value=Fraction(*rational),
         power_used=P,

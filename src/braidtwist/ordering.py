@@ -43,8 +43,8 @@ from .braid import (
     DEFAULT_STEP_CAP,
     BraidWord,
     _free_reduce_letters,
+    _permutation,
     exponent_counts,
-    permutation,
 )
 
 
@@ -228,13 +228,16 @@ def handle_reduce(w: BraidWord, *, cap: int | None = None) -> BraidWord:
 
     The output is empty, sigma-positive, or sigma-negative.  Exponent sum
     and underlying permutation are preserved; with VERIFY_REDUCTIONS set
-    both are checked on every call.
+    both are checked on every call.  The permutations are compared only
+    on the strands up to the highest index either word uses, plus one:
+    both words fix every strand above.
     """
     reduced = BraidWord(w.strands, tuple(_reduce_core(w.letters, _effective_cap(cap))))
     if VERIFY_REDUCTIONS:
         if exponent_counts(w)[2] != exponent_counts(reduced)[2]:
             raise RuntimeError("reduction changed the exponent sum (engine bug)")
-        if permutation(w) != permutation(reduced):
+        moved = max(map(abs, w.letters + reduced.letters), default=1) + 1
+        if _permutation(w.letters, moved) != _permutation(reduced.letters, moved):
             raise RuntimeError("reduction changed the permutation (engine bug)")
     return reduced
 

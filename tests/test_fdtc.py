@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidtwist.fdtc as fdtc
+import braidtwist.ordering as ordering
 from braidtwist import BraidWord, OrderSign, ReductionCapError, compare, garside_delta
 from braidtwist.braid import free_reduce
 from braidtwist.fdtc import (
@@ -20,6 +21,7 @@ from braidtwist.fdtc import (
     fdtc_interval,
     word_sign_bounds,
 )
+from braidtwist.ordering import syntactic_sigma_class
 
 
 def random_word(rng, n, length):
@@ -73,13 +75,49 @@ class TestTwistedPower:
                 assert compare(twisted, delta2 ** (-t) * power) is OrderSign.EQUAL
                 assert _at_least(search, P, t) == (compare(power, delta2**t) is not OrderSign.LESS)
 
-    def test_twists_are_spread_over_the_copies(self):
+    def test_twists_are_spread_over_the_copies(self, monkeypatch):
+        """Copy j of u carries k_j twists; a block that fills two or more
+        copies is written reduced, from one reduction, and a block that
+        fills one copy is written as it is."""
+        reductions = []
+        reduce = ordering.handle_reduce
+
+        def counting(w, *, cap=None):
+            reductions.append(w)
+            return reduce(w, cap=cap)
+
+        monkeypatch.setattr(ordering, "handle_reduce", counting)
         search = _PowerSearch(BraidWord(3, [2, 1, -2]))  # c = [2], u = [1]
-        inverse = [-1, -2, -1, -1, -2, -1]
-        assert list(search.twisted_power(4, 2).letters) == (
-            [2, 1] + inverse + [1, 1] + inverse + [1, -2]
-        )
-        assert list(search.twisted_power(2, -1).letters) == [2, 1, 2, 1, 1, 2, 1, 1, 1, -2]
+        twist = [1, 2, 1, 1, 2, 1]
+        written = {-1: [*twist, 1], 0: [1], 1: [-g for g in reversed(twist)] + [1]}
+        cases = ((4, 2, (0, 1, 0, 1)), (4, 6, (1, 2, 1, 2)), (3, 1, (0, 0, 1)), (2, -1, (-1, 0)))
+        for P, t, pattern in cases:
+            copies = [written[k] if pattern.count(k) == 1 else search.block(k) for k in pattern]
+            assert search.twisted_power(P, t).letters == (2, *itertools.chain(*copies), -2)
+        blocks = {k: BraidWord(3, search.block(k)) for k in (0, 1, 2)}
+        assert len(reductions) == 3  # k = 0, 1 and 2, each once
+        delta2 = garside_delta(3, squared=True)
+        for k, block in blocks.items():
+            assert compare(block, delta2 ** (-k) * BraidWord(3, [1])) is OrderSign.EQUAL
+            assert not block.letters or syntactic_sigma_class(block) is not None
+
+    def test_cap_bounds_each_block_reduction(self):
+        """A cap below the steps one block's reduction takes raises, even
+        though the comparison that needs the block would fit under it."""
+        w = BraidWord(4, [3, 2, 1, 1])  # c empty, u = w
+        block = garside_delta(4, squared=True).inverse() * w
+        steps = 0
+        while True:
+            try:
+                ordering.handle_reduce(block, cap=steps)
+                break
+            except ReductionCapError:
+                steps += 1
+        assert steps > 0
+        with pytest.raises(ReductionCapError):
+            _PowerSearch(w).twisted_power(2, 2, cap=steps - 1)  # two copies of the block
+        reduced = _PowerSearch(w).twisted_power(2, 2, cap=steps)
+        assert compare(reduced, BraidWord(4), cap=0) is OrderSign.LESS
 
 
 class TestShrunkPowers:
@@ -265,9 +303,9 @@ class TestFdtcExact:
             doubled = dehornoy_floor(free_reduce(w ** (2 * P))).floor
             assert doubled - 2 * floor in (0, 1)
 
-    def test_three_or_four_certificate_compares(self, monkeypatch):
-        """The P = 1 floor and the floor f of w^P, each side on its smallest
-        power; a side that shrinks to the power 1 is the P = 1 compare."""
+    def test_two_certificate_compares(self, monkeypatch):
+        """The floor f of w^P, each side on its smallest power; the floor of
+        w is f // P and needs no compare of its own."""
         claims = []
 
         def recording(search, P, t, *, cap=None):
@@ -277,12 +315,13 @@ class TestFdtcExact:
         monkeypatch.setattr(fdtc, "_at_least", recording)
         for w in FLIP_WORDS:
             claims.clear()
-            fdtc_exact(w)
-            assert 3 <= len(claims) <= 4
+            r = fdtc_exact(w)
+            assert len(claims) == 2
+            assert r.floor == r.floor_of_power // r.power_used
         # Even f: the lower side Delta^(2f) <= w^P is proved at a power below P.
         cases = (
-            (BraidWord(3, [1, 2] * 4), [(1, 1), (1, 2), (4, 5), (8, 11)]),  # f = 10 at P = 8
-            (BraidWord(3, [2, 1] * 7 + [-2] * 6), [(1, 2), (1, 3), (4, 9)]),  # f = 8 at P = 4
+            (BraidWord(3, [1, 2] * 4), [(4, 5), (8, 11)]),  # f = 10 at P = 8
+            (BraidWord(3, [2, 1] * 7 + [-2] * 6), [(1, 2), (4, 9)]),  # f = 8 at P = 4
         )
         for w, want in cases:
             claims.clear()
@@ -290,6 +329,42 @@ class TestFdtcExact:
             assert r.floor_of_power % 2 == 0
             assert claims == want
             assert (r.power_used, r.floor_of_power) not in claims
+
+    def test_wrong_search_floor_raises(self, monkeypatch):
+        """A search floor other than f // P for the certified f of w^P
+        never comes back as a value."""
+        floor = _PowerSearch.floor
+        for w in FLIP_WORDS:
+            for shift in (-1, 1):
+                monkeypatch.setattr(
+                    _PowerSearch, "floor", lambda self, shift=shift: floor(self) + shift
+                )
+                with pytest.raises(RuntimeError):
+                    fdtc_exact(w)
+
+    def test_step_cap_resolved_once_before_the_search(self, monkeypatch):
+        """cap is validated before any search work, and the default cap is
+        resolved once per call, not once per reduction."""
+        def no_search(w):
+            raise AssertionError("searched with an invalid cap")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fdtc, "_PowerSearch", no_search)
+            for function in (fdtc_exact, dehornoy_floor):
+                with pytest.raises(ValueError):
+                    function(BraidWord(3, [1, 2]), cap=-1)
+        resolved = []
+        effective_cap = ordering._effective_cap
+
+        def recording(cap):
+            resolved.append(cap)
+            return effective_cap(cap)
+
+        monkeypatch.setattr(ordering, "_effective_cap", recording)
+        for function in (fdtc_exact, dehornoy_floor):
+            resolved.clear()
+            function(BraidWord(4, [1, 2, 3, 1, -2]))
+            assert resolved.count(None) == 1
 
     def test_any_flipped_comparison_raises(self, monkeypatch):
         """One wrong answer, Dynnikov search probe or certificate compare,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidtwist.ordering as ordering
 from braidtwist import (
     BraidWord,
     OrderSign,
@@ -72,6 +73,24 @@ class TestHandleReduce:
         out = handle_reduce(w)
         assert exponent_counts(out)[2] == exponent_counts(w)[2]
         assert permutation(out) == permutation(w)
+
+    def test_verify_traces_only_the_strands_the_words_move(self, monkeypatch):
+        """The verify check follows the highest index of either word, not
+        the strand count, and still sees a changed permutation up there."""
+        traced = []
+        trace = ordering._permutation
+
+        def spy(letters, n):
+            traced.append(n)
+            return trace(letters, n)
+
+        monkeypatch.setattr(ordering, "_permutation", spy)
+        handle_reduce(BraidWord(200, [1, 2, -1]))
+        assert traced == [3, 3]
+        monkeypatch.setattr(ordering, "_reduce_core", lambda letters, cap: [151])
+        with pytest.raises(RuntimeError, match="permutation"):
+            handle_reduce(BraidWord(200, [150]))
+        assert traced[-2:] == [152, 152]
 
 
 class TestOrderSign:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -44,19 +45,15 @@ from .ordering import ReductionCapError, compare, order_sign
 from .quasipositive import expand, parse_syllables, qp_bt_bound_holds, qp_report
 
 
-def _jsonify(value):
-    """Recursively convert Fractions (and tuples) for json.dumps."""
+def _fraction_text(value) -> str:
+    """json.dumps hook: a Fraction as its text, anything else unencodable."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(_jsonify(obj)))
+    print(json.dumps(obj, default=_fraction_text))
 
 
 def _cmd_parse(args) -> int:
@@ -384,6 +381,7 @@ def _predicate_list(text: str) -> list[str]:
     return names
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidtwist",

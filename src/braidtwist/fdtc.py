@@ -30,27 +30,36 @@ A handle reduction's cost depends on where the letters sit, not only on
 how many there are: on the words of the fdtc_small_n benchmark,
 Delta^(-2t) b^Q with all the inverse twists in front takes about 2.5
 times as long to reduce as the same braid with the twists spread
-through the power.  So each certificate comparison reduces the spread
-word
+through the power, each copy of u carrying its share.  So each
+certificate comparison reduces c W c^-1, where W is the Christoffel
+word of slope t/Q over the blocks B(k) = Delta^(-2k) u, k = floor(t/Q)
+and k + 1, built by its standard factorization along the Stern-Brocot
+tree.  A piece of slope a/b (a twists over b copies) is a word for
+Delta^(-2a) u^b.  The descent toward t/Q starts from the pieces
+k/1 = B(k) and (k+1)/1 = B(k+1); the word of a mediant is the word of
+its left end followed by that of its right end, so a run of j equal
+moves (the runs are the partial quotients of t/Q) replaces the right
+end hi by lo^j hi, or the left end lo by lo hi^j.  W is lo hi of the
+final interval, whose mediant is t/Q; at Q = 1 it is B(t), and for
+g = gcd(t, Q) > 1 it is the word of (t/g, Q/g) repeated g times.
 
-    c B(k_1) B(k_2) ... B(k_Q) c^-1,    B(k) = Delta^(-2k) u,
-    k_j = floor(j t / Q) - floor((j - 1) t / Q),
-
-so the k_j sum to t and each copy of u carries its share of the twists
-(positive twist blocks when t < 0).  The k_j take at most two values,
-floor(t/Q) and the one above, so the word is built from at most two
-distinct blocks.  A block that fills two or more copies is
-handle-reduced once, the first time any comparison needs it, and reused
-from then on, so the comparison starts from reduced copies instead of
-reducing each copy again.  A block that fills a single copy is left as
-written: there is no repeated work to save, and on a long Delta^2
-reducing it ahead costs more than it saves (it made
-fdtc_exact(BraidWord(200, [1, 2])) about a fifth slower).  At Q = 1
-nothing is reduced ahead.  The word equals Delta^(-2t) b^Q because
-Delta^2 is central, c^-1 c cancels freely and every handle reduction is
-an identity in B_n; it is built from the same split c, u that the
-search holds, and only the handle reduction engine goes into it:
-nothing from the search does.
+A Christoffel word has few distinct factors, so its pieces repeat, and
+each is handle-reduced once per search: every run's new end is reduced
+when it is built and kept by its slope, except the last run's, which
+goes straight into the comparison; a base block B(k) and the repeated
+word of a non-coprime pair are reduced when they fill two or more
+places.  A base block that fills one place is left as written, unless
+an earlier word of the search has reduced it: there is no repeated work
+to save, and reducing a long Delta^2 ahead costs more than it saves (it
+made fdtc_exact(BraidWord(200, [1, 2])) about a fifth slower).  For a periodic braid, u^q = Delta^(2p), the piece of
+slope p/q reduces to the empty word and every piece built from it
+collapses with it.  Each piece carries its counts (a, b); a
+concatenation adds them, and a word whose counts are not (t, Q) raises
+RuntimeError.  The word then equals Delta^(-2t) b^Q because Delta^2 is
+central, c^-1 c cancels freely and every handle reduction is an
+identity in B_n; it is built from the same split c, u that the search
+holds, and only the handle reduction engine goes into it: nothing from
+the search does.
 
 The floor f of a power b^P (P a power of two) is certified on the
 smallest powers that prove it.  With Q = P / 2^v2(f) and
@@ -73,16 +82,18 @@ The certified f also certifies the floor of b itself, with no further
 comparison: the same cone closure turns Delta^(2[b]_D) <= b <
 Delta^(2[b]_D + 2) into P [b]_D <= f <= P [b]_D + P - 1, so
 [b]_D = floor(f / P).  The step cap (`cap`) is resolved once per call
-and bounds each block reduction and each certificate reduction; a
+and bounds each piece reduction and each certificate reduction; a
 Dynnikov probe costs O(n (|b| P + |t| n)) integer operations and needs
 no budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import dynnikov, ordering
 from .braid import (
@@ -120,12 +131,39 @@ class FdtcResult:
     floor: int
 
 
+class _Piece(NamedTuple):
+    """A word for Delta^(-2 twists) u^copies (module notes)."""
+
+    letters: tuple[int, ...]
+    twists: int
+    copies: int
+
+
+def _join(pieces) -> _Piece:
+    """The pieces one after another: the words concatenate, the counts add."""
+    letters: list[int] = []
+    twists = copies = 0
+    for piece in pieces:
+        letters.extend(piece.letters)
+        twists += piece.twists
+        copies += piece.copies
+    return _Piece(tuple(letters), twists, copies)
+
+
+@functools.lru_cache(maxsize=4)
+def _full_twists(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The letters of Delta^2 and of Delta^-2 on n strands."""
+    twist = garside_delta(n, squared=True).letters
+    return twist, tuple(-g for g in reversed(twist))
+
+
 class _PowerSearch:
     """Dynnikov probes Delta^(2t) <= w^P on the powers of w, sharing one
     state: the coordinates of c u^P for w = c u c^-1 (see the module
     notes); a probe reduces and rewrites nothing.  The split c, u and the
-    full twist blocks also build the certificate words (twisted_power),
-    whose handle-reduced blocks Delta^(-2k) u are kept per k."""
+    full twist blocks also build the certificate words (twisted_power)
+    from Christoffel pieces, whose handle-reduced forms are kept by
+    slope."""
 
     def __init__(self, w: BraidWord) -> None:
         self.strands = w.strands
@@ -133,11 +171,10 @@ class _PowerSearch:
         self._c = tuple(c)
         self._u = tuple(u)
         self._c_inverse = tuple(-g for g in reversed(c))
-        self._twist = garside_delta(w.strands, squared=True).letters
-        self._untwist = tuple(-g for g in reversed(self._twist))
+        self._twist, self._untwist = _full_twists(w.strands)
         self._state = dynnikov.act(dynnikov.start(w.strands), c + u)
         self._length = len(w)
-        self._blocks: dict[int, tuple[int, ...]] = {}
+        self._pieces: dict[tuple[int, int], _Piece] = {}
         self.power = 1
 
     def double(self) -> None:
@@ -181,37 +218,75 @@ class _PowerSearch:
                 hi = mid
         return lo
 
-    def _twisted_core(self, k: int) -> tuple[int, ...]:
-        """The letters of Delta^(-2k) u as written."""
-        return (self._untwist if k > 0 else self._twist) * abs(k) + self._u
+    def _block(self, k: int) -> _Piece:
+        """The piece k/1, Delta^(-2k) u: reduced if it is kept, else as written."""
+        kept = self._pieces.get((k, 1))
+        if kept is not None:
+            return kept
+        return _Piece((self._untwist if k > 0 else self._twist) * abs(k) + self._u, k, 1)
 
-    def block(self, k: int, *, cap: int | None = None) -> tuple[int, ...]:
-        """Letters of a handle-reduced word for Delta^(-2k) u: empty or
-        sigma-definite, reduced (bounded by cap) the first time k is asked
-        for and kept for every later call."""
-        letters = self._blocks.get(k)
-        if letters is None:
-            word = BraidWord._unchecked(self.strands, self._twisted_core(k))
-            letters = self._blocks[k] = ordering.handle_reduce(word, cap=cap).letters
-        return letters
+    def _reduced(self, piece: _Piece, cap: int | None) -> _Piece:
+        """piece handle-reduced (bounded by cap), empty or sigma-definite:
+        reduced the first time its slope is asked for and kept for every
+        later call."""
+        key = (piece.twists, piece.copies)
+        reduced = self._pieces.get(key)
+        if reduced is None:
+            word = BraidWord._unchecked(self.strands, piece.letters)
+            reduced = _Piece(ordering.handle_reduce(word, cap=cap).letters, *key)
+            self._pieces[key] = reduced
+        return reduced
+
+    def core(self, P: int, t: int, *, cap: int | None = None) -> _Piece:
+        """Delta^(-2t) u^P as the Christoffel word of slope t/P over the
+        blocks Delta^(-2k) u, from pieces each reduced at most once per
+        search (see the module notes)."""
+        g = math.gcd(t, P)
+        if g > 1:
+            return _join([self._reduced(self.core(P // g, t // g, cap=cap), cap)] * g)
+        k, r = divmod(t, P)  # the word holds r blocks B(k + 1) and P - r blocks B(k)
+        lo = self._block(k)
+        if P == 1:
+            return lo
+        hi = self._block(k + 1)
+        if P - r > 1:
+            lo = self._reduced(lo, cap)
+        if r > 1:
+            hi = self._reduced(hi, cap)
+        # Stern-Brocot descent: lo and hi have the slopes a/b < t/P < c/d,
+        # and the descent stops when their mediant is t/P.
+        a, b, c, d = k, 1, k + 1, 1
+        while (a + c, b + d) != (t, P):
+            below, above = t * b - P * a, P * c - t * d  # both positive
+            if above > below:  # t/P is left of the mediant: hi <- lo^j hi
+                j = (above - 1) // below
+                c, d = c + j * a, d + j * b
+                hi = _join([lo] * j + [hi])
+                if (a + c, b + d) != (t, P):  # not the last run
+                    hi = self._reduced(hi, cap)
+            else:  # lo <- lo hi^j
+                j = (below - 1) // above
+                a, b = a + j * c, b + j * d
+                lo = _join([lo] + [hi] * j)
+                if (a + c, b + d) != (t, P):
+                    lo = self._reduced(lo, cap)
+        return _join((lo, hi))
 
     def twisted_power(self, P: int, t: int, *, cap: int | None = None) -> BraidWord:
         """A word for Delta^(-2t) w^P with the t full twists spread through
-        the P copies of the core u, a block that fills two or more copies
-        written reduced (see the module notes)."""
-        low, high = divmod(t, P)  # high copies carry low + 1 twists, the rest low
-        once = {low: P - high == 1, low + 1: high == 1}
-        letters = list(self._c)
-        for j in range(1, P + 1):
-            k = j * t // P - (j - 1) * t // P
-            letters.extend(self._twisted_core(k) if once[k] else self.block(k, cap=cap))
-        letters.extend(self._c_inverse)
-        return BraidWord._unchecked(self.strands, tuple(letters))
+        the P copies of the core u (see the module notes)."""
+        core = self.core(P, t, cap=cap)
+        if (core.twists, core.copies) != (t, P):
+            raise RuntimeError(
+                f"a certificate word for Delta^{-2 * t} u^{P} counts "
+                f"{core.twists} twists over {core.copies} copies (engine bug)"
+            )
+        return BraidWord._unchecked(self.strands, self._c + core.letters + self._c_inverse)
 
 
 def _at_least(search: _PowerSearch, P: int, t: int, *, cap: int | None = None) -> bool:
     """Whether Delta^(2t) <= w^P, by one handle reduction of
-    search.twisted_power(P, t), whose blocks are reduced at most once
+    search.twisted_power(P, t), whose pieces are reduced at most once
     per search."""
     word = search.twisted_power(P, t, cap=cap)
     return compare(word, BraidWord(search.strands), cap=cap) != OrderSign.LESS
@@ -246,8 +321,7 @@ def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     A Dynnikov search (_PowerSearch.floor) finds t; two handle-reduction
     comparisons, Delta^(2t) <= w < Delta^(2t+2), certify it, so a wrong
     probe raises RuntimeError instead of returning a value.  cap bounds
-    each of those two reductions and the reduction of each twist block
-    they are built from.
+    each of those two reductions; at power 1 nothing is reduced ahead.
     """
     cap = ordering._effective_cap(cap)
     search = _PowerSearch(w)
@@ -300,7 +374,7 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     search (the module notes).  Handle reduction then certifies
     [w^P]_D = f with two comparisons, each side on the smallest power
     that proves it (module notes), each bounded by cap, as is the
-    reduction of each twist block they are built from.  The floor of w
+    reduction of each piece they are built from.  The floor of w
     follows as f // P, and the search's floor must equal it.  Soundness
     rests only on the cones being closed under products, so neither the
     defect-1 bound nor any probe is trusted: a single wrong answer

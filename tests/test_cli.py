@@ -180,6 +180,21 @@ class TestAuditCommand:
         summary = out[-1]["summary"]
         assert summary["entries"] == 3 and summary["errors"] == 1
 
+    def test_repeated_runs_give_identical_output(self, tmp_path, capsys):
+        """The parser is built once per process: a run prints the same the
+        second time, and no option of one run leaks into the next."""
+        path = self.corpus(
+            tmp_path,
+            '{"n": 3, "word": [1, 2, 1, 2], "meta": {"qp_length": 2, "finite_concordance_order": true}}\n',
+        )
+        commands = (["audit", "--json", "--predicates", "qp", path], ["audit", "--json", path])
+        outputs = []
+        for argv in commands * 2:
+            code = run(argv)
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[:2] == outputs[2:]
+        assert outputs[0] != outputs[1]
+
     def test_wrongly_typed_lines_are_error_records(self, tmp_path, capsys):
         bad = [
             '{"n": "3", "word": [1]}',

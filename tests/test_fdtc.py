@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidtwist.fdtc as fdtc
+import braidtwist.dynnikov as dynnikov
 import braidtwist.ordering as ordering
 from braidtwist import BraidWord, OrderSign, ReductionCapError, compare, garside_delta
 from braidtwist.braid import free_reduce
@@ -62,6 +63,10 @@ def conjugated_words(draw):
 
 
 class TestTwistedPower:
+    # (P, t) claims: long runs (t = 1, t = P - 1), several runs, negative
+    # slopes, non-coprime pairs and P = 1.
+    CLAIMS = ((16, 9), (8, 5), (32, 23), (32, 1), (32, 31), (8, -3), (12, 8), (4, 0), (8, 6), (1, 5))
+
     @given(conjugated_words())
     @settings(max_examples=30, deadline=None)
     def test_same_braid_and_same_decision(self, w):
@@ -74,11 +79,39 @@ class TestTwistedPower:
                 twisted = search.twisted_power(P, t)
                 assert compare(twisted, delta2 ** (-t) * power) is OrderSign.EQUAL
                 assert _at_least(search, P, t) == (compare(power, delta2**t) is not OrderSign.LESS)
+        # Larger powers against the Dynnikov engine: long runs (t = 1 and
+        # P - 1), non-coprime pairs, and both sides of the floor.
+        for P in (8, 32):
+            power = free_reduce(w**P)
+            floor = _PowerSearch(power).floor()
+            for t in {1, P - 1, 2, P // 2, P - 2, floor, floor + 1}:
+                target = delta2 ** (-t) * power
+                twisted = search.twisted_power(P, t)
+                assert dynnikov.order_sign(twisted.inverse() * target) is OrderSign.EQUAL
+                assert _at_least(search, P, t) == (dynnikov.order_sign(target) is not OrderSign.LESS)
+
+    def test_core_is_the_balanced_arrangement(self, monkeypatch):
+        """Written out with no piece reduced, the core of Delta^(-2t) w^P is
+        B(k_1) ... B(k_P), B(k) = Delta^(-2k) u and
+        k_j = floor(j t / P) - floor((j - 1) t / P): the Christoffel word of
+        slope t/P, with each copy of u carrying its share of the twists."""
+        monkeypatch.setattr(_PowerSearch, "_reduced", lambda self, piece, cap: piece)
+        search = _PowerSearch(BraidWord(3, [2, 1, -2]))  # c = [2], u = [1]
+        twist = (1, 2, 1, 1, 2, 1)
+        untwist = tuple(-g for g in reversed(twist))
+
+        def block(k):
+            return (untwist if k > 0 else twist) * abs(k) + (1,)
+
+        for P, t in self.CLAIMS:
+            ks = [j * t // P - (j - 1) * t // P for j in range(1, P + 1)]
+            want = itertools.chain.from_iterable(map(block, ks))
+            assert search.twisted_power(P, t).letters == (2, *want, -2)
 
     def test_twists_are_spread_over_the_copies(self, monkeypatch):
-        """Copy j of u carries k_j twists; a block that fills two or more
-        copies is written reduced, from one reduction, and a block that
-        fills one copy is written as it is."""
+        """Each kept piece a/b comes from one reduction, counts a twists
+        over b copies, is the same braid as Delta^(-2a) u^b, and is empty
+        or sigma-definite; a block that fills one place stays as written."""
         reductions = []
         reduce = ordering.handle_reduce
 
@@ -87,23 +120,48 @@ class TestTwistedPower:
             return reduce(w, cap=cap)
 
         monkeypatch.setattr(ordering, "handle_reduce", counting)
-        search = _PowerSearch(BraidWord(3, [2, 1, -2]))  # c = [2], u = [1]
-        twist = [1, 2, 1, 1, 2, 1]
-        written = {-1: [*twist, 1], 0: [1], 1: [-g for g in reversed(twist)] + [1]}
-        cases = ((4, 2, (0, 1, 0, 1)), (4, 6, (1, 2, 1, 2)), (3, 1, (0, 0, 1)), (2, -1, (-1, 0)))
-        for P, t, pattern in cases:
-            copies = [written[k] if pattern.count(k) == 1 else search.block(k) for k in pattern]
-            assert search.twisted_power(P, t).letters == (2, *itertools.chain(*copies), -2)
-        blocks = {k: BraidWord(3, search.block(k)) for k in (0, 1, 2)}
-        assert len(reductions) == 3  # k = 0, 1 and 2, each once
-        delta2 = garside_delta(3, squared=True)
-        for k, block in blocks.items():
-            assert compare(block, delta2 ** (-k) * BraidWord(3, [1])) is OrderSign.EQUAL
-            assert not block.letters or syntactic_sigma_class(block) is not None
+        u = BraidWord(4, [1, 2, 3, 3, -2])
+        search = _PowerSearch(u.conjugate_by(BraidWord(4, [2, -3])))  # c = [2, -3]
+        delta2 = garside_delta(4, squared=True)
+        single = (delta2.inverse() * u).letters  # B(1), once in the word for (32, 1)
+        assert search.twisted_power(32, 1).letters[-2 - len(single) : -2] == single
+        assert (1, 1) not in search._pieces
+        words = {(P, t): search.twisted_power(P, t) for P, t in self.CLAIMS}
+        assert len(reductions) == len(search._pieces)
+        assert sum(b > 1 for _, b in search._pieces) >= 5
+        for (P, t), word in words.items():
+            assert compare(word.conjugate_by(BraidWord(4, [3, -2])), delta2 ** (-t) * u**P) is OrderSign.EQUAL
+        for (a, b), piece in search._pieces.items():
+            assert (piece.twists, piece.copies) == (a, b)
+            kept = BraidWord(4, piece.letters)
+            assert compare(kept, delta2 ** (-a) * u**b) is OrderSign.EQUAL
+            assert not kept.letters or syntactic_sigma_class(kept) is not None
+
+    def test_periodic_piece_is_empty(self):
+        """u^5 = Delta^6 for the torus braid u of T(5, 3), so the piece of
+        slope 3/5, built on the way to 39/64, reduces to the empty word."""
+        torus = BraidWord(5, [1, 2, 3, 4] * 3)
+        search = _PowerSearch(torus.conjugate_by(BraidWord(5, [2, 2, -3])))
+        assert not _at_least(search, 64, 39)  # 39/64 > 3/5
+        assert search._pieces[3, 5].letters == ()
+
+    def test_piece_with_wrong_counts_raises(self, monkeypatch):
+        """A piece whose counts do not add up to (t, P) never reaches a
+        comparison."""
+        reduced = _PowerSearch._reduced
+
+        def miscounted(self, piece, cap):
+            return reduced(self, piece, cap)._replace(twists=piece.twists + 1)
+
+        monkeypatch.setattr(_PowerSearch, "_reduced", miscounted)
+        with pytest.raises(RuntimeError):
+            _PowerSearch(BraidWord(3, [1, 2])).twisted_power(16, 9)
+        with pytest.raises(RuntimeError):
+            fdtc_exact(BraidWord(3, [1, 2] * 4))
 
     def test_cap_bounds_each_block_reduction(self):
-        """A cap below the steps one block's reduction takes raises, even
-        though the comparison that needs the block would fit under it."""
+        """A cap below the steps one piece's reduction takes raises, even
+        though the comparison that needs the piece would fit under it."""
         w = BraidWord(4, [3, 2, 1, 1])  # c empty, u = w
         block = garside_delta(4, squared=True).inverse() * w
         steps = 0
@@ -153,7 +211,7 @@ class TestStepBudget:
     Both words have floor 8 at power 8.  With the 9 inverse full twists
     all in front of w^8, the certificate's upper compare takes 1,798
     (B_4) and 1,916 (B_5) handle reductions; spread through the power,
-    the largest reduction of the whole fdtc_exact run takes 289 and 264.
+    the largest reduction of the whole fdtc_exact run takes 179 and 103.
     """
 
     CAP = 700

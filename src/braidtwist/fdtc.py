@@ -18,10 +18,37 @@ comes by the first power of two above n(n-1).
 Two engines answer "is Delta^(2t) <= b^P?".  The searches (the
 bracket and bisection of the floor, and the doubling probes) run on
 Dynnikov coordinates (the dynnikov module): with b = c u c^-1 freely
-(u cyclically reduced), one state holds the coordinates of c u^P and
-grows from P to 2P by applying u P more times, and a probe copies it
-and applies c^-1 and |t| blocks of Delta^(-+2).  Nothing is rewritten,
-and no probe re-reads the power.
+(u cyclically reduced), one state holds the coordinates of
+c u^P Delta^(-2s), s the full twists it carries, and a probe copies it
+and applies c^-1 and |t - s| blocks of Delta^(-+2) (Delta^2 is
+central, so where the twists sit does not change the braid).  The
+state grows from P to 2P by applying u P more times and then enough
+blocks to carry s = 2f, f the floor of b^P, so the doubling probe of
+2f + 1 applies one block, not |2f + 1|.  Nothing is rewritten, and no
+probe re-reads the power.
+
+A periodic braid is caught while the state grows.  By Kerekjarto and
+Eilenberg a periodic b is conjugate to a power of delta = s_1 ... s_(n-1)
+or of epsilon = s_1 delta, and delta^n = epsilon^(n-1) = Delta^2, so b
+is periodic exactly when b^m = Delta^(2k) for some m in {n - 1, n}.
+Such an (m, k) must pass two cheap filters: m times the exponent sum
+of b is k n (n - 1), which fixes k, and u^m has the identity
+permutation.  When the state reaches copy m of u for an (m, k) that
+passes, a copy of it with c^-1 applied is compared for equality with
+the coordinates of Delta^(2(k - s)), kept per (n, k - s); other words
+pay nothing for the check.  The doubling always reaches copy m: an
+interval [f/P, (f+1)/P] with P <= n has two endpoints of denominator
+<= n, so the search never stops before P > n >= m.  A hit is then
+certified by one handle reduction of the Christoffel word for
+Delta^(-2k) u^m (below), which must be the empty word: it is trivial
+exactly when b^m = c u^m c^-1 is Delta^(2k).  From b^m = Delta^(2k)
+alone, [b^P]_D = floor(P k / m) for every P: were
+Delta^(2(f+1)) <= b^P or b^P < Delta^(2f) for that f, the m-th power
+of Delta^(-2(f+1)) b^P or of Delta^(-2f) b^P would, by cone closure,
+give Delta^(2(kP - m(f+1))) >= 1 or Delta^(2(kP - mf)) < 1, against
+the choice of f.  So every certificate field follows by arithmetic,
+through the same stop rule, with no twisted-power comparison, and the
+floors the search found up to the hit must agree with it.
 
 Every returned floor is then certified by handle reduction (the
 ordering module): fresh comparisons of the form Delta^(2t) <= b^Q, so a
@@ -51,15 +78,15 @@ word of a non-coprime pair are reduced when they fill two or more
 places.  A base block that fills one place is left as written, unless
 an earlier word of the search has reduced it: there is no repeated work
 to save, and reducing a long Delta^2 ahead costs more than it saves (it
-made fdtc_exact(BraidWord(200, [1, 2])) about a fifth slower).  For a periodic braid, u^q = Delta^(2p), the piece of
-slope p/q reduces to the empty word and every piece built from it
-collapses with it.  Each piece carries its counts (a, b); a
-concatenation adds them, and a word whose counts are not (t, Q) raises
-RuntimeError.  The word then equals Delta^(-2t) b^Q because Delta^2 is
-central, c^-1 c cancels freely and every handle reduction is an
-identity in B_n; it is built from the same split c, u that the search
-holds, and only the handle reduction engine goes into it: nothing from
-the search does.
+made fdtc_exact(BraidWord(200, [1, 2])) about a fifth slower).  For a
+periodic braid, u^q = Delta^(2p), the piece of slope p/q reduces to
+the empty word and every piece built from it collapses with it.  Each
+piece carries its counts (a, b); a concatenation adds them, and a word
+whose counts are not (t, Q) raises RuntimeError.  The word then
+equals Delta^(-2t) b^Q because Delta^2 is central, c^-1 c cancels
+freely and every handle reduction is an identity in B_n; it is built
+from the same split c, u that the search holds, and only the handle
+reduction engine goes into it: nothing from the search does.
 
 The floor f of a power b^P (P a power of two) is certified on the
 smallest powers that prove it.  With Q = P / 2^v2(f) and
@@ -83,8 +110,8 @@ comparison: the same cone closure turns Delta^(2[b]_D) <= b <
 Delta^(2[b]_D + 2) into P [b]_D <= f <= P [b]_D + P - 1, so
 [b]_D = floor(f / P).  The step cap (`cap`) is resolved once per call
 and bounds each piece reduction and each certificate reduction; a
-Dynnikov probe costs O(n (|b| P + |t| n)) integer operations and needs
-no budget.
+Dynnikov probe costs O(n (|b| P + |t - s| n)) integer operations and
+needs no budget.
 """
 
 from __future__ import annotations
@@ -99,6 +126,7 @@ from . import dynnikov, ordering
 from .braid import (
     BraidWord,
     _conjugate_split,
+    _permutation,
     detect_destabilizable,
     free_reduce,
     garside_delta,
@@ -121,7 +149,11 @@ class FdtcResult:
     power_used, floor_of_power and interval are the certificate:
     Delta^(2 floor_of_power) <= w^power_used < Delta^(2 floor_of_power + 2).
     floor is the Dehornoy floor of w itself, floor_of_power // power_used,
-    which that certificate proves too (module notes).
+    which that certificate proves too (module notes).  For a periodic
+    braid, w^m = Delta^(2k) with m in {n - 1, n}, one handle reduction
+    proves that identity instead, and every field follows from it by
+    arithmetic: value k/m, and floor(P k / m) as the floor of each w^P,
+    which cone closure forces (module notes).
     """
 
     value: Fraction
@@ -157,13 +189,46 @@ def _full_twists(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return twist, tuple(-g for g in reversed(twist))
 
 
+def _twist_blocks(coords: list[int], n: int, j: int) -> list[int]:
+    """Apply Delta^(2j) to the Dynnikov coordinates coords, in place."""
+    twist, untwist = _full_twists(n)
+    block = twist if j > 0 else untwist
+    for _ in range(abs(j)):
+        dynnikov.act(coords, block)
+    return coords
+
+
+@functools.lru_cache(maxsize=64)
+def _twist_coordinates(n: int, j: int) -> tuple[int, ...]:
+    """The Dynnikov coordinates of Delta^(2j) on n strands."""
+    return tuple(_twist_blocks(dynnikov.start(n), n, j))
+
+
+def _central_power_candidates(u: tuple[int, ...], n: int) -> dict[int, int]:
+    """{m: k} for each m in {n - 1, n}, m >= 2, that passes two necessary
+    conditions for u^m = Delta^(2k): m times the exponent sum of u is
+    k n (n - 1), the exponent sum of Delta^(2k), and the permutation of
+    u^m is the identity (module notes)."""
+    exponent = sum(1 if g > 0 else -1 for g in u)
+    moved = max(map(abs, u), default=1) + 1
+    candidates = {}
+    for m in (n - 1, n):
+        k, rest = divmod(m * exponent, n * (n - 1))
+        if m >= 2 and not rest:
+            images = _permutation(u * m, moved).images
+            if images == tuple(range(1, moved + 1)):
+                candidates[m] = k
+    return candidates
+
+
 class _PowerSearch:
     """Dynnikov probes Delta^(2t) <= w^P on the powers of w, sharing one
-    state: the coordinates of c u^P for w = c u c^-1 (see the module
-    notes); a probe reduces and rewrites nothing.  The split c, u and the
-    full twist blocks also build the certificate words (twisted_power)
-    from Christoffel pieces, whose handle-reduced forms are kept by
-    slope."""
+    state: the coordinates of c u^P Delta^(-2s) for w = c u c^-1 and the
+    s twists the state carries (see the module notes); a probe reduces
+    and rewrites nothing.  Doubling also watches for a central power
+    w^m = Delta^(2k) (central_power).  The split c, u and the full twist
+    blocks also build the certificate words (core, twisted_power) from
+    Christoffel pieces, whose handle-reduced forms are kept by slope."""
 
     def __init__(self, w: BraidWord) -> None:
         self.strands = w.strands
@@ -173,24 +238,45 @@ class _PowerSearch:
         self._c_inverse = tuple(-g for g in reversed(c))
         self._twist, self._untwist = _full_twists(w.strands)
         self._state = dynnikov.act(dynnikov.start(w.strands), c + u)
+        self._twists = 0
         self._length = len(w)
         self._pieces: dict[tuple[int, int], _Piece] = {}
+        self._candidates = _central_power_candidates(self._u, w.strands)
+        self.central_power: tuple[int, int] | None = None
         self.power = 1
 
-    def double(self) -> None:
-        """Go from c u^P to c u^(2P) by applying u P more times."""
-        for _ in range(self.power):
+    def double(self, twists: int) -> None:
+        """Go from c u^P Delta^(-2s) to c u^(2P) Delta^(-2 twists): apply u
+        P more times, then the twists.  At a copy count m that passes the
+        filters (_central_power_candidates) it stops if the coordinates
+        say w^m = Delta^(2k), with central_power = (m, k) and power m."""
+        for copies in range(self.power + 1, 2 * self.power + 1):
             dynnikov.act(self._state, self._u)
+            if copies in self._candidates:
+                k = self._central_twists(copies)
+                if k is not None:
+                    self.central_power = (copies, k)
+                    self.power = copies
+                    return
+        _twist_blocks(self._state, self.strands, self._twists - twists)
+        self._twists = twists
         self.power *= 2
+
+    def _central_twists(self, copies: int) -> int | None:
+        """k if the coordinates say w^copies = Delta^(2k), for the one k the
+        filters leave: c u^copies Delta^(-2s) c^-1 against those of
+        Delta^(2(k - s)), kept per (n, k - s).  Only a handle reduction
+        certifies a hit (module notes)."""
+        k = self._candidates[copies]
+        coords = dynnikov.act(self._state.copy(), self._c_inverse)
+        return k if tuple(coords) == _twist_coordinates(self.strands, k - self._twists) else None
 
     def at_least(self, t: int) -> bool:
         """Whether Delta^(2t) <= w^P at the current power P: the sign of
-        c u^P c^-1 Delta^(-2t), which is Delta^(-2t) w^P as Delta^2 is central."""
+        c u^P Delta^(-2s) c^-1 Delta^(-2(t - s)), which is Delta^(-2t) w^P
+        as Delta^2 is central."""
         coords = dynnikov.act(self._state.copy(), self._c_inverse)
-        block = self._untwist if t > 0 else self._twist
-        for _ in range(abs(t)):
-            dynnikov.act(coords, block)
-        return dynnikov.sign(coords) >= 0
+        return dynnikov.sign(_twist_blocks(coords, self.strands, self._twists - t)) >= 0
 
     def floor(self) -> int:
         """Largest t with at_least(t) at P = 1: exponential bracketing,
@@ -237,13 +323,13 @@ class _PowerSearch:
             self._pieces[key] = reduced
         return reduced
 
-    def core(self, P: int, t: int, *, cap: int | None = None) -> _Piece:
+    def _christoffel(self, P: int, t: int, cap: int | None) -> _Piece:
         """Delta^(-2t) u^P as the Christoffel word of slope t/P over the
         blocks Delta^(-2k) u, from pieces each reduced at most once per
         search (see the module notes)."""
         g = math.gcd(t, P)
         if g > 1:
-            return _join([self._reduced(self.core(P // g, t // g, cap=cap), cap)] * g)
+            return _join([self._reduced(self._christoffel(P // g, t // g, cap), cap)] * g)
         k, r = divmod(t, P)  # the word holds r blocks B(k + 1) and P - r blocks B(k)
         lo = self._block(k)
         if P == 1:
@@ -272,16 +358,22 @@ class _PowerSearch:
                     lo = self._reduced(lo, cap)
         return _join((lo, hi))
 
-    def twisted_power(self, P: int, t: int, *, cap: int | None = None) -> BraidWord:
-        """A word for Delta^(-2t) w^P with the t full twists spread through
-        the P copies of the core u (see the module notes)."""
-        core = self.core(P, t, cap=cap)
+    def core(self, P: int, t: int, *, cap: int | None = None) -> tuple[int, ...]:
+        """The letters of the Christoffel word for Delta^(-2t) u^P; raises
+        RuntimeError unless its pieces count t twists over P copies."""
+        core = self._christoffel(P, t, cap)
         if (core.twists, core.copies) != (t, P):
             raise RuntimeError(
                 f"a certificate word for Delta^{-2 * t} u^{P} counts "
                 f"{core.twists} twists over {core.copies} copies (engine bug)"
             )
-        return BraidWord._unchecked(self.strands, self._c + core.letters + self._c_inverse)
+        return core.letters
+
+    def twisted_power(self, P: int, t: int, *, cap: int | None = None) -> BraidWord:
+        """A word for Delta^(-2t) w^P with the t full twists spread through
+        the P copies of the core u (see the module notes)."""
+        letters = self._c + self.core(P, t, cap=cap) + self._c_inverse
+        return BraidWord._unchecked(self.strands, letters)
 
 
 def _at_least(search: _PowerSearch, P: int, t: int, *, cap: int | None = None) -> bool:
@@ -313,6 +405,18 @@ def _certify(search: _PowerSearch, P: int, f: int, cap: int) -> None:
                 f"Delta^{2 * t} {'<=' if holds else '>'} w^{Q} failed, so a "
                 f"floor failed its certificate (engine bug)"
             )
+
+
+def _certify_central_power(search: _PowerSearch, m: int, k: int, cap: int) -> None:
+    """Raise unless w^m = Delta^(2k): one handle reduction of core(m, k), a
+    word for Delta^(-2k) u^m, which is trivial exactly when
+    w^m = c u^m c^-1 is Delta^(2k), Delta^2 being central."""
+    core = BraidWord._unchecked(search.strands, search.core(m, k, cap=cap))
+    if compare(core, BraidWord(search.strands), cap=cap) is not OrderSign.EQUAL:
+        raise RuntimeError(
+            f"w^{m} = Delta^{2 * k} failed its certificate, so the Dynnikov "
+            f"coordinates matched a braid they do not (engine bug)"
+        )
 
 
 def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
@@ -375,7 +479,12 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     [w^P]_D = f with two comparisons, each side on the smallest power
     that proves it (module notes), each bounded by cap, as is the
     reduction of each piece they are built from.  The floor of w
-    follows as f // P, and the search's floor must equal it.  Soundness
+    follows as f // P, and the search's floor must equal it.
+
+    If the doubling finds w^m = Delta^(2k) (a periodic braid), one
+    handle reduction certifies that instead, and every field follows
+    from [w^P]_D = floor(P k / m) through the same stop rule; the floor
+    the search reached must agree with it (module notes).  Soundness
     rests only on the cones being closed under products, so neither the
     defect-1 bound nor any probe is trusted: a single wrong answer
     anywhere raises RuntimeError instead of returning a value.
@@ -392,11 +501,27 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
                 f"expected exactly one rational with denominator <= {n} in "
                 f"[{Fraction(f, P)}, {Fraction(f + 1, P)}] (engine bug)"
             )
-        search.double()
+        search.double(2 * f)
+        if search.central_power is not None:
+            break
         P = search.power
         f = 2 * f + search.at_least(2 * f + 1)
         rational = _unique_rational(f, P, n)
-    _certify(search, P, f, cap)
+    if search.central_power is None:
+        _certify(search, P, f, cap)
+    else:
+        # w^m = Delta^(2k) gives [w^P]_D = floor(P k / m) for every P.
+        m, k = search.central_power
+        _certify_central_power(search, m, k, cap)
+        if f != P * k // m:
+            raise RuntimeError(
+                f"the search put the floor of w^{P} at {f}, but w^{m} = "
+                f"Delta^{2 * k} puts it at {P * k // m} (engine bug)"
+            )
+        while rational is None:
+            P *= 2
+            f = P * k // m
+            rational = _unique_rational(f, P, n)
     if f // P != floor:  # each doubling keeps f in [P floor, P floor + P - 1]
         raise RuntimeError(
             f"the search put the floor of w at {floor}, the certified floor "

@@ -19,11 +19,14 @@ no later letter of index <= index(q), which is exactly the set of
 possible handle openers, in increasing index order.  Reading a letter
 of index i pops every entry of larger index, then either closes a
 handle against an opposite-sign index-i top, supersedes a same-sign
-one, or pushes fresh.  Each push records the entries it displaced;
-popping an opener restores them, so after a splice the scan resumes
-just left of the replacement with the exact stack for that prefix.  One
-sweep therefore ends with no handle anywhere, and a handle-free nonempty
-word is sigma-definite: both signs at the lowest index would put an
+one, or pushes fresh.  The stack is persistent: immutable cons cells
+(node, index, below, before), never changed once built, where before
+is the whole stack as it was just before the node was read.  Closing a
+handle at opener o restores o's before in O(1), with nothing copied or
+recorded per letter, so after a splice the scan resumes just left of
+the replacement with the exact stack for that prefix.  One sweep
+therefore ends with no handle anywhere, and a handle-free nonempty word
+is sigma-definite: both signs at the lowest index would put an
 adjacent opposite pair of that index around an interior of strictly
 larger index, which is a handle.
 
@@ -116,7 +119,6 @@ def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int
     size = count + 2
     nxt = [0] * size
     prv = [0] * size
-    saved: list[tuple[int, ...]] = [()] * size  # stack entries this push displaced
     previous = _HEAD
     for node in range(2, size):
         nxt[previous] = node
@@ -125,25 +127,20 @@ def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int
     nxt[previous] = _TAIL
     prv[_TAIL] = previous
 
-    stack: list[int] = []
+    # Stack cells are (node, index, below, before): before is the stack as
+    # it was just before the node was read.  Index 0 at the bottom stops
+    # every pop loop.
+    stack = (_HEAD, 0, None, None)
     reductions = 0
     cur = nxt[_HEAD]
     while cur != _TAIL:
         g = let[cur]
         i = g if g > 0 else -g
-        popped: list[int] = []
-        o = -1  # the index-i stack entry left on top, if any
-        while stack:
-            top = stack[-1]
-            h = let[top]
-            hi = h if h > 0 else -h
-            if hi > i:
-                popped.append(stack.pop())
-            else:
-                if hi == i:
-                    o = top
-                break
-        if o >= 0 and let[o] == -g:
+        top = stack
+        while top[1] > i:
+            top = top[2]
+        o = top[0]  # the index-i stack entry left on top, if top[1] == i
+        if top[1] == i and let[o] == -g:
             # A handle closes here.  Everything popped above sits inside
             # it and is read again once the interior is rewritten.
             steps += 1
@@ -172,8 +169,6 @@ def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int
                     nxt.append(after)
                     prv.append(before)
                     prv.append(y)
-                    saved.append(())
-                    saved.append(())
                     nxt[before] = idx
                     prv[y] = idx
                     nxt[y] = idx + 1
@@ -193,16 +188,12 @@ def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int
             prv[after] = last
             let[o] = 0
             let[cur] = 0
-            stack.pop()
-            stack.extend(saved[o])  # the stack exactly as before the opener was read
+            stack = top[3]  # the stack exactly as before the opener was read
             cur = nxt[b]
         else:
-            if o >= 0:  # same sign: supersede the old index-i entry
-                stack.pop()
-                saved[cur] = (o, *reversed(popped))
-            else:
-                saved[cur] = tuple(reversed(popped))
-            stack.append(cur)
+            if top[1] == i:  # same sign: supersede the old index-i entry
+                top = top[2]
+            stack = (cur, i, top, stack)
             cur = nxt[cur]
 
     out: list[int] = []
@@ -232,7 +223,12 @@ def handle_reduce(w: BraidWord, *, cap: int | None = None) -> BraidWord:
     on the strands up to the highest index either word uses, plus one:
     both words fix every strand above.
     """
-    reduced = BraidWord(w.strands, tuple(_reduce_core(w.letters, _effective_cap(cap))))
+    out = tuple(_reduce_core(w.letters, _effective_cap(cap)))
+    # A reduction writes only indices its input holds; one pass keeps that
+    # checked without validating each letter again in BraidWord.
+    if max(map(abs, out), default=0) >= w.strands:
+        raise RuntimeError("reduction wrote a letter beyond the strands (engine bug)")
+    reduced = BraidWord._unchecked(w.strands, out)
     if VERIFY_REDUCTIONS:
         if exponent_counts(w)[2] != exponent_counts(reduced)[2]:
             raise RuntimeError("reduction changed the exponent sum (engine bug)")

@@ -43,6 +43,35 @@ FLIP_WORDS = (
 )
 
 
+# Periodic words, w^m = Delta^(2k): the first four are FLIP_WORDS.
+PERIODIC_WORDS = (
+    BraidWord(3, [1, 2]),  # delta in B_3
+    BraidWord(5, [4, 3, 2, 1, 1]),  # conjugate to epsilon in B_5
+    BraidWord(3, [-1, -1, -2]),  # epsilon^-1 in B_3
+    BraidWord(3, []),
+    BraidWord(3, [1, 2] * 4),  # delta^4, floor 10 at power 8
+    BraidWord(4, [1, 2, 3] * 2).conjugate_by(BraidWord(4, [2, -1, 3])),
+    BraidWord(5, [1, 1, 2, 3, 4] * 3).conjugate_by(BraidWord(5, [-4, 2])),
+    garside_delta(4, squared=True).inverse(),
+    BraidWord(2, [1] * 3),
+)
+
+
+@st.composite
+def periodic_words(draw):
+    """delta^j, epsilon^j or Delta^(2j) in B_2 to B_7, conjugated by up to
+    4 letters, with the closed-form value j/n, j/(n-1) or j."""
+    n = draw(st.integers(2, 7))
+    delta = tuple(range(1, n))
+    root, order, bound = draw(
+        st.sampled_from(((delta, n, 2 * n), ((1, *delta), n - 1, 2 * n), (delta * n, 1, 2)))
+    )
+    j = draw(st.integers(-bound, bound))
+    gens = [g for g in range(-(n - 1), n) if g]
+    c = BraidWord(n, draw(st.lists(st.sampled_from(gens), max_size=4)))
+    return (BraidWord(n, root) ** j).conjugate_by(c), Fraction(j, order)
+
+
 @st.composite
 def small_words(draw):
     """Words in B_3 to B_5 of at most 12 letters."""
@@ -362,8 +391,9 @@ class TestFdtcExact:
             assert doubled - 2 * floor in (0, 1)
 
     def test_two_certificate_compares(self, monkeypatch):
-        """The floor f of w^P, each side on its smallest power; the floor of
-        w is f // P and needs no compare of its own."""
+        """For a word that is not periodic, the floor f of w^P, each side on
+        its smallest power; the floor of w is f // P and needs no compare
+        of its own."""
         claims = []
 
         def recording(search, P, t, *, cap=None):
@@ -372,13 +402,15 @@ class TestFdtcExact:
 
         monkeypatch.setattr(fdtc, "_at_least", recording)
         for w in FLIP_WORDS:
+            if w in PERIODIC_WORDS:
+                continue
             claims.clear()
             r = fdtc_exact(w)
             assert len(claims) == 2
             assert r.floor == r.floor_of_power // r.power_used
         # Even f: the lower side Delta^(2f) <= w^P is proved at a power below P.
         cases = (
-            (BraidWord(3, [1, 2] * 4), [(4, 5), (8, 11)]),  # f = 10 at P = 8
+            (BraidWord(4, [2, 1, 2, 2, 2, 1, 3]), [(2, 1), (8, 5)]),  # f = 4 at P = 8
             (BraidWord(3, [2, 1] * 7 + [-2] * 6), [(1, 2), (4, 9)]),  # f = 8 at P = 4
         )
         for w, want in cases:
@@ -387,6 +419,74 @@ class TestFdtcExact:
             assert r.floor_of_power % 2 == 0
             assert claims == want
             assert (r.power_used, r.floor_of_power) not in claims
+
+    def test_periodic_words_make_one_equal_compare(self, monkeypatch):
+        """w^m = Delta^(2k) is certified by one handle reduction that
+        compares EQUAL, and no twisted-power claim is made."""
+        claims, signs = [], []
+
+        def recording(search, P, t, *, cap=None):
+            claims.append((P, t))
+            return _at_least(search, P, t, cap=cap)
+
+        def recording_compare(a, b, *, cap=None):
+            signs.append(compare(a, b, cap=cap))
+            return signs[-1]
+
+        monkeypatch.setattr(fdtc, "_at_least", recording)
+        monkeypatch.setattr(fdtc, "compare", recording_compare)
+        for w in PERIODIC_WORDS:
+            claims.clear()
+            signs.clear()
+            r = fdtc_exact(w)
+            assert claims == []
+            assert signs == [OrderSign.EQUAL]
+            assert r.floor == r.floor_of_power // r.power_used
+
+    @given(periodic_words())
+    @settings(max_examples=40, deadline=None)
+    def test_periodic_path_matches_the_two_sided_path(self, case):
+        """Every field for a conjugated delta^j, epsilon^j or Delta^(2j)
+        equals the one from the doubling search and two certificates
+        with the central-power check switched off, and the value is the
+        closed form."""
+        w, want = case
+
+        def two_sided(*args):
+            raise AssertionError("a periodic word reached the two-sided certificate")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fdtc, "_certify", two_sided)
+            r = fdtc_exact(w)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_PowerSearch, "_central_twists", lambda self, copies: None)
+            assert fdtc_exact(w) == r
+        assert r.value == want
+
+    def test_false_central_power_raises(self, monkeypatch):
+        """A Dynnikov hit that is not one (here forced on a pure braid of
+        exponent sum 0, which passes both filters), or a true hit with the
+        wrong number of twists, fails its handle reduction."""
+        central_twists = _PowerSearch._central_twists
+        pure = BraidWord(3, [1, 1, -2, -2])
+        assert _PowerSearch(pure)._candidates
+        assert fdtc_exact(pure).value == 0
+
+        def always(self, copies):
+            return self._candidates[copies]
+
+        monkeypatch.setattr(_PowerSearch, "_central_twists", always)
+        with pytest.raises(RuntimeError):
+            fdtc_exact(pure)
+        for shift in (-1, 1):
+            def shifted(self, copies, shift=shift):
+                k = central_twists(self, copies)
+                return None if k is None else k + shift
+
+            monkeypatch.setattr(_PowerSearch, "_central_twists", shifted)
+            for w in PERIODIC_WORDS:
+                with pytest.raises(RuntimeError):
+                    fdtc_exact(w)
 
     def test_wrong_search_floor_raises(self, monkeypatch):
         """A search floor other than f // P for the certified f of w^P

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from braidtwist import (
     order_sign,
     permutation,
 )
-from braidtwist.braid import exponent_counts
+from braidtwist.braid import _free_reduce_letters, exponent_counts
 from braidtwist.ordering import DEFAULT_STEP_CAP, STEP_CAP_ENV, syntactic_sigma_class
 
 
@@ -91,6 +92,37 @@ class TestHandleReduce:
         with pytest.raises(RuntimeError, match="permutation"):
             handle_reduce(BraidWord(200, [150]))
         assert traced[-2:] == [152, 152]
+
+
+class TestSweep:
+    DIGEST = "31e6a658c873bcdea7443ab4ad0765e67b24e784810c7640a012a5b8cf29b3a4"
+
+    @staticmethod
+    def sweep_words():
+        """504 seeded words in B_3 to B_10: mixed words of up to 40 letters,
+        and every third one Delta^-2 followed by up to 12 positive letters."""
+        rng = random.Random(2008)
+        for i in range(504):
+            n = 3 + i % 8
+            gens = [g for g in range(1 - n, n) if g]
+            letters = rng.choices(gens, k=rng.randint(0, 40))
+            if i % 3 == 2:
+                untwist = garside_delta(n, squared=True).inverse().letters
+                letters = [*untwist, *rng.choices(range(1, n), k=rng.randint(1, 12))]
+            yield _free_reduce_letters(letters)
+
+    def test_sweep_is_pinned(self):
+        """One sweep of each word gives the same letters, reductions and
+        steps as the sweep before the persistent stack.  DIGEST is the
+        sha256 of repr([(tuple(letters), reductions, steps), ...]) over
+        sweep_words(), captured from that earlier sweep, which copied the
+        stack entries each push displaced into a tuple per letter."""
+        records = []
+        for letters in self.sweep_words():
+            out, reductions, steps = ordering._scan_once(letters, DEFAULT_STEP_CAP, 0)
+            records.append((tuple(out), reductions, steps))
+        assert sum(r for _, r, _ in records) == 2301
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == self.DIGEST
 
 
 class TestOrderSign:

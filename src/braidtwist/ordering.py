@@ -28,7 +28,9 @@ the replacement with the exact stack for that prefix.  One sweep
 therefore ends with no handle anywhere, and a handle-free nonempty word
 is sigma-definite: both signs at the lowest index would put an
 adjacent opposite pair of that index around an interior of strictly
-larger index, which is a handle.
+larger index, which is a handle.  So a reduction sweeps at most once:
+not at all if the freely reduced word is already empty or
+sigma-definite, and a swept word that is neither raises RuntimeError.
 
 Words live in a doubly-linked list held as flat integer arrays, so a
 splice is local: a reduction rewrites the interior's sigma_(i+1) letters
@@ -82,19 +84,13 @@ def _effective_cap(cap: int | None) -> int:
 
 
 def _sigma_class(letters) -> tuple[int, int] | None:
-    """(lowest generator index, its sign) if that index is single-signed."""
-    lowest = 0
-    pos = neg = False
-    for g in letters:
-        i = g if g > 0 else -g
-        if lowest == 0 or i < lowest:
-            lowest = i
-            pos = g > 0
-            neg = not pos
-        elif i == lowest:
-            pos = pos or g > 0
-            neg = neg or g < 0
-    if lowest == 0 or (pos and neg):
+    """(lowest generator index, its sign) if that index is single-signed;
+    letters is a list or a tuple."""
+    if not letters:
+        return None
+    lowest = min(map(abs, letters))
+    pos, neg = lowest in letters, -lowest in letters
+    if pos and neg:
         return None
     return lowest, 1 if pos else -1
 
@@ -205,19 +201,25 @@ def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int
 
 
 def _reduce_core(letters, cap: int) -> list[int]:
+    """The freely reduced letters if they are empty or sigma-definite,
+    else one sweep of them, which leaves no handle: its result must be
+    empty or sigma-definite."""
     word = _free_reduce_letters(letters)
-    steps = 0
-    while word and _sigma_class(word) is None:
-        word, reductions, steps = _scan_once(word, cap, steps)
-        if not reductions:
-            break
+    if not word or _sigma_class(word) is not None:
+        return word
+    word = _scan_once(word, cap, 0)[0]
+    if word and _sigma_class(word) is None:
+        raise RuntimeError(
+            "a sweep left a word that is neither empty nor sigma-definite (engine bug)"
+        )
     return word
 
 
 def handle_reduce(w: BraidWord, *, cap: int | None = None) -> BraidWord:
     """Rewrite w into an order-deciding representative of the same braid.
 
-    The output is empty, sigma-positive, or sigma-negative.  Exponent sum
+    The output is empty, sigma-positive, or sigma-negative; a sweep that
+    leaves anything else raises RuntimeError.  Exponent sum
     and underlying permutation are preserved; with VERIFY_REDUCTIONS set
     both are checked on every call.  The permutations are compared only
     on the strands up to the highest index either word uses, plus one:
@@ -239,14 +241,13 @@ def handle_reduce(w: BraidWord, *, cap: int | None = None) -> BraidWord:
 
 
 def order_sign(w: BraidWord, *, cap: int | None = None) -> OrderSign:
-    """Position of the braid of w relative to the identity."""
-    reduced = handle_reduce(w, cap=cap)
-    if not reduced.letters:
+    """Position of the braid of w relative to the identity: the sign of a
+    lowest-index letter of the reduced word, which handle_reduce has
+    already found empty or sigma-definite."""
+    reduced = handle_reduce(w, cap=cap).letters
+    if not reduced:
         return OrderSign.EQUAL
-    sigma = syntactic_sigma_class(reduced)
-    if sigma is None:
-        raise RuntimeError("reduction returned an unclassifiable word (engine bug)")
-    return OrderSign.GREATER if sigma[1] > 0 else OrderSign.LESS
+    return OrderSign.GREATER if min(reduced, key=abs) > 0 else OrderSign.LESS
 
 
 def compare(a: BraidWord, b: BraidWord, *, cap: int | None = None) -> OrderSign:

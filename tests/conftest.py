@@ -21,7 +21,8 @@ def check_fdtc_certificate():
     The floor is recomputed by a full floor search on w^power, the
     interval must have width 1/power, it must hold exactly one rational
     with denominator <= n and that rational must be the reported value,
-    and the doubling search must have stopped by 2n(n-1).
+    and the power must be at most 2n(n-1), as the first power of two
+    above n(n-1) is.
     """
 
     def check(w, value, power, floor, lo, hi):

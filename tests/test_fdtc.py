@@ -13,13 +13,12 @@ from braidtwist import BraidWord, OrderSign, ReductionCapError, compare, garside
 from braidtwist.braid import free_reduce
 from braidtwist.fdtc import (
     FLOOR_CONVENTION,
-    _at_least,
+    _full_twists,
+    _power_sign,
     _PowerSearch,
-    _shrink,
     dehornoy_floor,
     destab_bounds,
     fdtc_exact,
-    fdtc_interval,
     word_sign_bounds,
 )
 from braidtwist.ordering import syntactic_sigma_class
@@ -28,6 +27,34 @@ from braidtwist.ordering import syntactic_sigma_class
 def random_word(rng, n, length):
     gens = [g for g in range(-(n - 1), n) if g]
     return BraidWord(n, [rng.choice(gens) for _ in range(length)])
+
+
+def at_least(search, P, t, *, cap=None):
+    """Whether Delta^(2t) <= w^P, by one certificate compare."""
+    return _power_sign(search, P, t, cap=cap) is not OrderSign.LESS
+
+
+def fdtc_interval(w, N, *, cap=None):
+    """The fixed-power oracle: the closed interval of width 1/N holding
+    BT(w).  Floors sandwich BT (floor <= BT <= floor + 1) and BT is
+    homogeneous, so the floor of w^N pins BT(w) between [w^N]_D / N and
+    ([w^N]_D + 1) / N."""
+    if N < 1:
+        raise ValueError(f"power must be positive, got {N}")
+    f = dehornoy_floor(free_reduce(w**N), cap=cap).floor
+    return Fraction(f, N), Fraction(f + 1, N)
+
+
+def recording_claims(monkeypatch):
+    """Record the (power, twists) of every certificate compare fdtc_exact makes."""
+    claims = []
+
+    def recording(search, P, t, *, cap=None):
+        claims.append((P, t))
+        return _power_sign(search, P, t, cap=cap)
+
+    monkeypatch.setattr(fdtc, "_power_sign", recording)
+    return claims
 
 
 # Words whose every search probe and certificate compare gets flipped.
@@ -107,7 +134,7 @@ class TestTwistedPower:
             for t in range(floor - 3, floor + 4):
                 twisted = search.twisted_power(P, t)
                 assert compare(twisted, delta2 ** (-t) * power) is OrderSign.EQUAL
-                assert _at_least(search, P, t) == (compare(power, delta2**t) is not OrderSign.LESS)
+                assert at_least(search, P, t) == (compare(power, delta2**t) is not OrderSign.LESS)
         # Larger powers against the Dynnikov engine: long runs (t = 1 and
         # P - 1), non-coprime pairs, and both sides of the floor.
         for P in (8, 32):
@@ -117,7 +144,7 @@ class TestTwistedPower:
                 target = delta2 ** (-t) * power
                 twisted = search.twisted_power(P, t)
                 assert dynnikov.order_sign(twisted.inverse() * target) is OrderSign.EQUAL
-                assert _at_least(search, P, t) == (dynnikov.order_sign(target) is not OrderSign.LESS)
+                assert at_least(search, P, t) == (dynnikov.order_sign(target) is not OrderSign.LESS)
 
     def test_core_is_the_balanced_arrangement(self, monkeypatch):
         """Written out with no piece reduced, the core of Delta^(-2t) w^P is
@@ -126,8 +153,8 @@ class TestTwistedPower:
         slope t/P, with each copy of u carrying its share of the twists."""
         monkeypatch.setattr(_PowerSearch, "_reduced", lambda self, piece, cap: piece)
         search = _PowerSearch(BraidWord(3, [2, 1, -2]))  # c = [2], u = [1]
-        twist = (1, 2, 1, 1, 2, 1)
-        untwist = tuple(-g for g in reversed(twist))
+        twist, untwist = _full_twists(3)
+        assert twist == (1, 2) * 3
 
         def block(k):
             return (untwist if k > 0 else twist) * abs(k) + (1,)
@@ -152,7 +179,7 @@ class TestTwistedPower:
         u = BraidWord(4, [1, 2, 3, 3, -2])
         search = _PowerSearch(u.conjugate_by(BraidWord(4, [2, -3])))  # c = [2, -3]
         delta2 = garside_delta(4, squared=True)
-        single = (delta2.inverse() * u).letters  # B(1), once in the word for (32, 1)
+        single = _full_twists(4)[1] + u.letters  # B(1), once in the word for (32, 1)
         assert search.twisted_power(32, 1).letters[-2 - len(single) : -2] == single
         assert (1, 1) not in search._pieces
         words = {(P, t): search.twisted_power(P, t) for P, t in self.CLAIMS}
@@ -166,12 +193,27 @@ class TestTwistedPower:
             assert compare(kept, delta2 ** (-a) * u**b) is OrderSign.EQUAL
             assert not kept.letters or syntactic_sigma_class(kept) is not None
 
+    def test_kept_word_is_reused(self):
+        """keep(P, t) reduces the word of slope t/P once; its own compare
+        reads the kept piece, and so does the word of a mediant whose later
+        Farey parent it is: 2/5 is 1/3 then 1/2, and 1/3 ends the last run."""
+        u, c = BraidWord(4, [1, 2, 3, 3, -2]), BraidWord(4, [2, -3])
+        search = _PowerSearch(u.conjugate_by(c))
+        search.keep(3, 1)
+        kept = search._pieces[1, 3].letters
+        assert search.twisted_power(3, 1).letters == (2, -3, *kept, 3, -2)
+        core = search.twisted_power(5, 2).letters[2:-2]
+        assert core[: len(kept)] == kept
+        assert core[len(kept) :] == search._pieces[1, 2].letters
+        delta2 = garside_delta(4, squared=True)
+        assert compare(BraidWord(4, core), delta2 ** (-2) * u**5) is OrderSign.EQUAL
+
     def test_periodic_piece_is_empty(self):
         """u^5 = Delta^6 for the torus braid u of T(5, 3), so the piece of
         slope 3/5, built on the way to 39/64, reduces to the empty word."""
         torus = BraidWord(5, [1, 2, 3, 4] * 3)
         search = _PowerSearch(torus.conjugate_by(BraidWord(5, [2, 2, -3])))
-        assert not _at_least(search, 64, 39)  # 39/64 > 3/5
+        assert _power_sign(search, 64, 39) is OrderSign.LESS  # 39/64 > 3/5
         assert search._pieces[3, 5].letters == ()
 
     def test_piece_with_wrong_counts_raises(self, monkeypatch):
@@ -192,7 +234,7 @@ class TestTwistedPower:
         """A cap below the steps one piece's reduction takes raises, even
         though the comparison that needs the piece would fit under it."""
         w = BraidWord(4, [3, 2, 1, 1])  # c empty, u = w
-        block = garside_delta(4, squared=True).inverse() * w
+        block = BraidWord(4, _full_twists(4)[1] + w.letters)
         steps = 0
         while True:
             try:
@@ -208,13 +250,6 @@ class TestTwistedPower:
 
 
 class TestShrunkPowers:
-    def test_shrink(self):
-        assert _shrink(8, 12) == (2, 3)
-        assert _shrink(8, 9) == (8, 9)
-        assert _shrink(8, 0) == (1, 0)
-        assert _shrink(4, -8) == (1, -2)
-        assert _shrink(1, 6) == (1, 6)
-
     @given(small_words())
     @settings(max_examples=40, deadline=None)
     def test_smaller_power_decides_the_same(self, w):
@@ -231,16 +266,18 @@ class TestShrunkPowers:
                 for s in (floor, floor + 1):
                     t = s << j
                     oracle = compare(power, delta2**t) is not OrderSign.LESS
-                    assert _at_least(search, P, t) == _at_least(search, Q, t >> j) == oracle
+                    assert at_least(search, P, t) == at_least(search, Q, t >> j) == oracle
 
 
 class TestStepBudget:
     """Deterministic guard on reduction cost: steps, not seconds.
 
-    Both words have floor 8 at power 8.  With the 9 inverse full twists
-    all in front of w^8, the certificate's upper compare takes 1,798
-    (B_4) and 1,916 (B_5) handle reductions; spread through the power,
-    the largest reduction of the whole fdtc_exact run takes 179 and 103.
+    Both words have BT = 1 and floor 8 at power 8.  With the 9 inverse
+    full twists all in front of w^8, the compare Delta^18 against w^8
+    takes 1,798 (B_4) and 1,916 (B_5) handle reductions; the largest
+    single reduction of a whole fdtc_exact run, whose compares are at
+    powers up to 2n - 1 with the twists spread through the power, takes
+    130 and 83.
     """
 
     CAP = 700
@@ -295,6 +332,13 @@ class TestDehornoyFloor:
     @settings(max_examples=25, deadline=None)
     def test_fdtc_exact_reports_the_same_floor(self, w):
         assert fdtc_exact(w).floor == dehornoy_floor(w).floor
+
+    def test_runaway_floor_walk_raises(self, monkeypatch):
+        """A walk that never turns stops at 2 len(w) + 1 with RuntimeError."""
+        for sign in (1, -1):
+            monkeypatch.setattr(_PowerSearch, "_probe", lambda self, a, b, sign=sign: sign)
+            with pytest.raises(RuntimeError, match="walk"):
+                dehornoy_floor(BraidWord(3, [1, 2]))
 
     def test_floor_makes_two_compares(self, monkeypatch):
         """The Dynnikov search finds the floor; handle reduction only certifies it."""
@@ -391,101 +435,128 @@ class TestFdtcExact:
             assert doubled - 2 * floor in (0, 1)
 
     def test_two_certificate_compares(self, monkeypatch):
-        """For a word that is not periodic, the floor f of w^P, each side on
-        its smallest power; the floor of w is f // P and needs no compare
-        of its own."""
-        claims = []
-
-        def recording(search, P, t, *, cap=None):
-            claims.append((P, t))
-            return _at_least(search, P, t, cap=cap)
-
-        monkeypatch.setattr(fdtc, "_at_least", recording)
+        """A word that is not periodic makes exactly two compares: its
+        value p/q at power q <= n, then the last mediant a/b of the search
+        at n < b <= 2n - 1, a Farey neighbour pair (|p b - q a| = 1).  The
+        floor of w needs no compare of its own."""
+        claims = recording_claims(monkeypatch)
         for w in FLIP_WORDS:
             if w in PERIODIC_WORDS:
                 continue
             claims.clear()
             r = fdtc_exact(w)
+            n = w.strands
             assert len(claims) == 2
+            (q, p), (b, a) = claims
+            assert Fraction(p, q) == r.value and q <= n < b <= 2 * n - 1
+            assert abs(p * b - q * a) == 1
             assert r.floor == r.floor_of_power // r.power_used
-        # Even f: the lower side Delta^(2f) <= w^P is proved at a power below P.
         cases = (
-            (BraidWord(4, [2, 1, 2, 2, 2, 1, 3]), [(2, 1), (8, 5)]),  # f = 4 at P = 8
-            (BraidWord(3, [2, 1] * 7 + [-2] * 6), [(1, 2), (4, 9)]),  # f = 8 at P = 4
+            (BraidWord(4, [2, 1, 2, 2, 2, 1, 3]), [(2, 1), (5, 3)]),  # 1/2, from below 3/5
+            (BraidWord(3, [2, 1] * 7 + [-2] * 6), [(1, 2), (4, 9)]),  # 2, from below 9/4
+            (BraidWord(4, [1, 2, 3] * 5 + [-3, 1, -2]), [(1, 1), (5, 6)]),  # 1
+            (BraidWord(5, [2, 1, 3, 4, 4, 2]), [(3, 1), (7, 2)]),  # 1/3, from above 2/7
         )
         for w, want in cases:
             claims.clear()
-            r = fdtc_exact(w)
-            assert r.floor_of_power % 2 == 0
+            fdtc_exact(w)
             assert claims == want
-            assert (r.power_used, r.floor_of_power) not in claims
 
     def test_periodic_words_make_one_equal_compare(self, monkeypatch):
-        """w^m = Delta^(2k) is certified by one handle reduction that
-        compares EQUAL, and no twisted-power claim is made."""
-        claims, signs = [], []
-
-        def recording(search, P, t, *, cap=None):
-            claims.append((P, t))
-            return _at_least(search, P, t, cap=cap)
+        """w^q = Delta^(2p) is certified by one handle reduction, of
+        Delta^(-2p) w^q at the value p/q, that compares EQUAL."""
+        claims, signs = recording_claims(monkeypatch), []
 
         def recording_compare(a, b, *, cap=None):
             signs.append(compare(a, b, cap=cap))
             return signs[-1]
 
-        monkeypatch.setattr(fdtc, "_at_least", recording)
         monkeypatch.setattr(fdtc, "compare", recording_compare)
         for w in PERIODIC_WORDS:
             claims.clear()
             signs.clear()
             r = fdtc_exact(w)
-            assert claims == []
             assert signs == [OrderSign.EQUAL]
+            (q, p), = claims
+            assert Fraction(p, q) == r.value and q <= w.strands
             assert r.floor == r.floor_of_power // r.power_used
 
     @given(periodic_words())
     @settings(max_examples=40, deadline=None)
     def test_periodic_path_matches_the_two_sided_path(self, case):
         """Every field for a conjugated delta^j, epsilon^j or Delta^(2j)
-        equals the one from the doubling search and two certificates
-        with the central-power check switched off, and the value is the
-        closed form."""
+        equals the one from the two-sided certificate, reached with the
+        equality shortcut switched off (a probe that reads 0 is taken as
+        +1), and the value is the closed form."""
         w, want = case
-
-        def two_sided(*args):
-            raise AssertionError("a periodic word reached the two-sided certificate")
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fdtc, "_certify", two_sided)
+            claims = recording_claims(patch)
             r = fdtc_exact(w)
+            assert len(claims) == 1
+        probe = _PowerSearch._probe
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_PowerSearch, "_central_twists", lambda self, copies: None)
+            patch.setattr(_PowerSearch, "_probe", lambda self, a, b: probe(self, a, b) or 1)
+            claims = recording_claims(patch)
             assert fdtc_exact(w) == r
+            assert len(claims) == 2
         assert r.value == want
 
     def test_false_central_power_raises(self, monkeypatch):
-        """A Dynnikov hit that is not one (here forced on a pure braid of
-        exponent sum 0, which passes both filters), or a true hit with the
-        wrong number of twists, fails its handle reduction."""
-        central_twists = _PowerSearch._central_twists
-        pure = BraidWord(3, [1, 1, -2, -2])
-        assert _PowerSearch(pure)._candidates
-        assert fdtc_exact(pure).value == 0
+        """A probe forced to read 0 (w^b = Delta^(2a)) in the descent of a
+        word that is not periodic, or a true hit reported with its twists
+        shifted, fails its handle reduction."""
+        probe, fraction = _PowerSearch._probe, _PowerSearch.fraction
 
-        def always(self, copies):
-            return self._candidates[copies]
+        def forcing(k):
+            calls = []
 
-        monkeypatch.setattr(_PowerSearch, "_central_twists", always)
-        with pytest.raises(RuntimeError):
-            fdtc_exact(pure)
+            def forced(self, a, b):
+                calls.append(b)
+                return 0 if len(calls) - 1 == k else probe(self, a, b)
+
+            return forced
+
+        for w in FLIP_WORDS:
+            if w in PERIODIC_WORDS:
+                continue
+            seen = []
+            monkeypatch.setattr(_PowerSearch, "_probe", lambda self, a, b: seen.append(b) or probe(self, a, b))
+            fdtc_exact(w)
+            descent = [k for k, b in enumerate(seen) if b > 1]  # b = 1: the floor walk
+            assert descent
+            for k in descent:
+                monkeypatch.setattr(_PowerSearch, "_probe", forcing(k))
+                with pytest.raises(RuntimeError):
+                    fdtc_exact(w)
+        monkeypatch.setattr(_PowerSearch, "_probe", probe)
         for shift in (-1, 1):
-            def shifted(self, copies, shift=shift):
-                k = central_twists(self, copies)
-                return None if k is None else k + shift
+            def shifted(self, t, shift=shift):
+                (p, q), mediant = fraction(self, t)
+                return ((p + shift, q) if mediant is None else (p, q)), mediant
 
-            monkeypatch.setattr(_PowerSearch, "_central_twists", shifted)
+            monkeypatch.setattr(_PowerSearch, "fraction", shifted)
             for w in PERIODIC_WORDS:
                 with pytest.raises(RuntimeError):
+                    fdtc_exact(w)
+
+    def test_mediant_must_be_a_farey_neighbour(self, monkeypatch):
+        """A last mediant that does not isolate the winner p/q among the
+        rationals with denominator <= n raises before any value, although
+        both compares would hold: (2a, 2b) makes the statement of (a, b)
+        but |p 2b - q 2a| = 2, and (a - p, b - q), the winner's other
+        Farey neighbour, has denominator <= n."""
+        fraction = _PowerSearch.fraction
+        moves = (lambda p, q, a, b: (2 * a, 2 * b), lambda p, q, a, b: (a - p, b - q))
+        for move in moves:
+            def moved(self, t, move=move):
+                (p, q), mediant = fraction(self, t)
+                return (p, q), None if mediant is None else move(p, q, *mediant)
+
+            monkeypatch.setattr(_PowerSearch, "fraction", moved)
+            for w in FLIP_WORDS:
+                if w in PERIODIC_WORDS:
+                    continue
+                with pytest.raises(RuntimeError, match="isolate"):
                     fdtc_exact(w)
 
     def test_wrong_search_floor_raises(self, monkeypatch):
@@ -525,10 +596,10 @@ class TestFdtcExact:
             assert resolved.count(None) == 1
 
     def test_any_flipped_comparison_raises(self, monkeypatch):
-        """One wrong answer, Dynnikov search probe or certificate compare,
-        must never yield a value from fdtc_exact or dehornoy_floor: each
-        is flipped in turn."""
-        probe, compare = fdtc._PowerSearch.at_least, fdtc.compare
+        """One wrong answer, Dynnikov probe or certificate compare, must
+        never yield a value from fdtc_exact or dehornoy_floor: each is
+        flipped in turn (a probe that reads >= 0 then reads -1)."""
+        probe, compare = fdtc._PowerSearch._probe, fdtc.compare
 
         def flipping(original, flip, k, seen):
             def wrapper(*args, **kwargs):
@@ -542,7 +613,7 @@ class TestFdtcExact:
             return OrderSign.GREATER if sign is OrderSign.LESS else OrderSign.LESS
 
         targets = (
-            (fdtc._PowerSearch, "at_least", probe, lambda answer: not answer),
+            (fdtc._PowerSearch, "_probe", probe, lambda sign: -1 if sign >= 0 else 1),
             (fdtc, "compare", compare, flip_sign),
         )
         for function, w, (owner, name, original, flip) in itertools.product(
@@ -557,6 +628,7 @@ class TestFdtcExact:
                 with pytest.raises(RuntimeError):
                     function(w)
             monkeypatch.setattr(owner, name, original)
+
 
 class TestWordSignBounds:
     def test_mixed_indices_pin_zero(self):

@@ -75,6 +75,35 @@ class TestHandleReduce:
         assert exponent_counts(out)[2] == exponent_counts(w)[2]
         assert permutation(out) == permutation(w)
 
+    def test_at_most_one_sweep_and_one_classification_each(self, monkeypatch):
+        """A reduction sweeps once, or not at all when the freely reduced
+        word is already empty or sigma-definite, and classifies each word
+        it returns or sweeps once; order_sign classifies nothing more."""
+        sweeps, classified = [], []
+        scan, sigma_class = ordering._scan_once, ordering._sigma_class
+        monkeypatch.setattr(ordering, "_scan_once", lambda *args: sweeps.append(args[0]) or scan(*args))
+        monkeypatch.setattr(ordering, "_sigma_class", lambda word: classified.append(word) or sigma_class(word))
+        rng = random.Random(41)
+        for _ in range(60):
+            w = random_word(rng, rng.randint(2, 6), rng.randint(0, 30))
+            sweeps.clear()
+            classified.clear()
+            sign = order_sign(w)
+            free = _free_reduce_letters(w.letters)
+            if not free or sigma_class(free) is not None:
+                assert sweeps == [] and classified == ([free] if free else [])
+            else:
+                assert len(sweeps) == 1
+                assert len(classified) == (1 if sign is OrderSign.EQUAL else 2)
+
+    def test_unfinished_sweep_raises(self, monkeypatch):
+        """A swept word that is neither empty nor sigma-definite never
+        leaves handle_reduce."""
+        monkeypatch.setattr(ordering, "_scan_once", lambda letters, cap, steps: (letters, 0, steps))
+        with pytest.raises(RuntimeError, match="sigma-definite"):
+            handle_reduce(BraidWord(3, [1, 2, -1]))
+        assert handle_reduce(BraidWord(3, [1, -2])).letters == (1, -2)
+
     def test_verify_traces_only_the_strands_the_words_move(self, monkeypatch):
         """The verify check follows the highest index of either word, not
         the strand count, and still sees a changed permutation up there."""

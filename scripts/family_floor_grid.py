@@ -9,6 +9,7 @@ Usage: python3 scripts/family_floor_grid.py [--max-m 6] [--max-k 10]
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from braidtwist.families import Ktd, generate
@@ -36,4 +37,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)

@@ -4,11 +4,13 @@ fdtc_exact proves its value with compares at powers up to 2n - 1 and
 derives every other field by arithmetic.  Here each record is checked
 from the outside on seeded random words in B_3 to B_8 (mixed signs,
 every third one conjugated): floor_of_power must equal
-dehornoy_floor(free_reduce(w**power_used)), floor must equal
-dehornoy_floor(w), both of which search and certify those powers
-themselves, the interval must be [floor_of_power, floor_of_power + 1]
-over power_used, and the value must be the only rational with
-denominator <= n in it.  Exit status 1 if any word disagrees.
+dehornoy_floor(free_reduce(w**power_used)) and floor must equal
+dehornoy_floor(w), where dehornoy_floor runs the same Stern-Brocot
+descent on that power, stopped at denominator 1, and certifies the
+floor with two compares of its own; the interval must be
+[floor_of_power, floor_of_power + 1] over power_used, and the value
+must be the only rational with denominator <= n in it.  Exit status 1
+if any word disagrees.
 
 Usage: python3 scripts/fdtc_cross_check.py [--words 600] [--seed 1]
 """

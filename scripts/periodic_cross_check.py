@@ -4,8 +4,9 @@ For n = 2..7 and j in [-2n, 2n], each of delta^j and epsilon^j in B_n
 (delta = s1 s2 ... s_(n-1), epsilon = s1 delta, so delta^n =
 epsilon^(n-1) = Delta^2), conjugated by a seeded random word, must get
 value j/n or j/(n-1), and a floor_of_power equal to
-dehornoy_floor(free_reduce(w**power_used)), which searches and certifies
-the power itself and takes no periodic shortcut.  Exit status 1 if any
+dehornoy_floor(free_reduce(w**power_used)), which runs the same
+Stern-Brocot descent on the power, stopped at denominator 1, and
+certifies its floor with two compares even when the power is central.  Exit status 1 if any
 word disagrees.
 
 Usage: python3 scripts/periodic_cross_check.py [--max-n 7] [--seed 1]

@@ -11,39 +11,50 @@ Delta^(2gk) <= x^k for every k, hence g <= BT(x); and x < Delta^(2g)
 gives BT(x) <= g.  With g = [x]_D and [x]_D + 1 this is the sandwich
 [x]_D <= BT(x) <= [x]_D + 1.  BT is homogeneous: BT(w^q) = q BT(w).
 
-Search.  fdtc_exact finds BT on Dynnikov coordinates (the dynnikov
-module).  With w = c u c^-1 freely (u cyclically reduced), one state
-holds the coordinates of c u^P Delta^(-2s), s the full twists it
-carries.  A probe of a/b is the sign of Delta^(-2a) w^b: it grows the
-state to b copies of u and a twists (Delta^2 is central, so where the
-twists sit does not change the braid), then applies c^-1 to a copy.
-The floor t = [w]_D comes from a linear walk at P = 1, one block of
-Delta^(-+2) per step.  A Stern-Brocot descent from [t, t + 1] then
+Search.  Both numbers come from one Stern-Brocot descent on Dynnikov
+coordinates (the dynnikov module).  With w = c u c^-1 freely (u
+cyclically reduced), one state holds the coordinates of
+c u^P Delta^(-2s), s the full twists it carries.  A probe of a/b is the
+sign of Delta^(-2a) w^b: it grows the state to b copies of u and a
+twists (Delta^2 is central, so where the twists sit does not change the
+braid), then applies c^-1 to a copy.  A probe that reads >= 0 puts BT
+at or above a/b by cone closure, one that reads < 0 at or below it.
+The descent starts at the root 0/1 between the ends -1/0 and 1/0,
 probes the mediant a/b of its interval and keeps the half on the side
-of BT, until the mediant's denominator b exceeds n.  The two ends are
-then neighbours in the Farey sequence F_n: nothing with denominator
-<= n lies strictly between them, and the probe of that last mediant
-picks the end that BT equals, the winner p/q.  Mediant denominators
-strictly increase, so the state only grows, by single copies of u, and
-the last mediant has n < b <= 2n - 1.  A probe that reads 0 says
-w^b = Delta^(2a) (the action is faithful): the descent stops there,
-with p/q = a/b, and a walk whose floor t read 0 gives p/q = t/1.
+of BT, while b is at most a limit.  While an end is infinite the
+mediants are the integers k/1, and the probe of k/1 reads >= 0 exactly
+when Delta^(2k) <= w: the first run is a walk, one full twist per step,
+to the interval [t, t + 1] of the floor t = [w]_D.  dehornoy_floor
+stops there (limit 1).  fdtc_exact goes on (limit n) until the
+mediant's denominator b exceeds n; the two ends are then neighbours in
+the Farey sequence F_n, nothing with denominator <= n lies strictly
+between them, and one more probe, of that last mediant, picks the end
+that BT equals, the winner p/q.  Mediant denominators never decrease,
+so the state only grows, by single copies of u, and the last mediant
+has n < b <= 2n - 1.  A probe that reads 0 says w^b = Delta^(2a) (the
+action is faithful): the descent stops there, with BT = a/b.  A single
+letter has floor 0 or -1, so quasimorphism additivity keeps
+|[w]_D| <= len(w), and a descent that keeps an end at or beyond
++-(2 len(w) + 1) raises.
 
-Certificate.  Handle reduction (the ordering module) proves the answer,
-so a wrong probe can only raise RuntimeError, never return a value.
-For the winner p/q (q <= n) and the last mediant a/b (n < b), two
-compares:
+Certificate.  Handle reduction (the ordering module) proves each
+answer, so a wrong probe can only raise RuntimeError, never return a
+value.  One routine makes two compares, for a winner p/q and the other
+end a/b of an interval of the descent:
 
     Delta^(2p) <= w^q   and   w^b < Delta^(2a)     if p/q < a/b,
-    w^q < Delta^(2p)    and   Delta^(2a) <= w^b    if a/b < p/q.
+    w^q < Delta^(2p)    and   Delta^(2a) <= w^b    if a/b < p/q,
 
-By cone closure BT(w) then lies between p/q and a/b.  |p b - q a| = 1,
-checked by arithmetic, puts every rational strictly between them at
-denominator >= q + b > n, and a/b has denominator b > n, so BT = p/q.
-If the search reported w^q = Delta^(2p), the one compare of
-Delta^(-2p) w^q must come out EQUAL instead, which proves BT = p/q
-alone.  Soundness rests only on cone closure and on the bound that BT
-has denominator <= n.
+an EQUAL compare counting as <=.  By cone closure BT(w) then lies
+between p/q and a/b.  The floor takes t/1 and (t + 1)/1, which is the
+statement Delta^(2t) <= w < Delta^(2t + 2) itself; it makes these two
+compares even when a probe read 0.  BT takes the winner and the last
+mediant: |p b - q a| = 1 and q <= n < b, checked by arithmetic, put
+every rational strictly between them at denominator >= q + b > n, and
+a/b has denominator b > n, so BT = p/q.  If the descent stopped at
+w^q = Delta^(2p), the one compare of Delta^(-2p) w^q must come out
+EQUAL instead, which proves BT = p/q alone.  Soundness rests only on
+cone closure and on the bound that BT has denominator <= n.
 
 Fields by arithmetic.  The sandwich at x = w^P gives
 [w^P]_D <= P p/q <= [w^P]_D + 1.  If q does not divide P this fixes
@@ -54,9 +65,8 @@ first power of two P >= 2 whose interval [f/P, (f+1)/P] holds no
 rational with denominator <= n but p/q, found by integer counting; that
 is the first power of two above n(n-1) at the latest, since neighbours
 in F_n are at least 1/(n(n-1)) apart.  The floor of w is the same
-arithmetic at P = 1.  It is the walk's t whenever the compares pass,
-since the descent keeps p/q in [t, t + 1], with p = t + 1 only for an
-upper winner; a wrong t therefore fails a compare.
+arithmetic at P = 1, so fdtc_exact proves it with no compare of its
+own.
 
 Certificate words.  A handle reduction's cost depends on where the
 letters sit, not only on how many there are: on the words of the
@@ -185,7 +195,7 @@ class _PowerSearch:
     coordinates of c u^P Delta^(-2s) for w = c u c^-1, P the copies and
     s the twists it holds (see the module notes); a probe reduces and
     rewrites nothing.  The split c, u and the full twist blocks also
-    build the certificate words (core, twisted_power) from Christoffel
+    build the certificate words (twisted_power) from Christoffel
     pieces, whose handle-reduced forms are kept by slope."""
 
     def __init__(self, w: BraidWord) -> None:
@@ -200,7 +210,6 @@ class _PowerSearch:
         self._twists = 0
         self._length = len(w)
         self._pieces: dict[tuple[int, int], _Piece] = {}
-        self.central: tuple[int, int] | None = None  # (t, 1) if w = Delta^(2t)
 
     def _probe(self, a: int, b: int) -> int:
         """+1, 0 or -1 as Delta^(-2a) w^b is >, = or < 1, for b no smaller
@@ -215,47 +224,30 @@ class _PowerSearch:
         self._twists = a
         return dynnikov.sign(dynnikov.act(self._state.copy(), self._c_inverse))
 
-    def floor(self) -> int:
-        """Largest t with Delta^(2t) <= w: a linear walk from t = 0 at
-        P = 1, one full twist per step.  It sets central when the probe
-        of t reads 0.  A single letter has floor 0 or -1, so quasimorphism
-        additivity keeps |floor| <= len(w), and a walk that reaches
-        2 len(w) + 1 raises."""
-        limit = 2 * self._length + 1
-        t, sign = 0, self._probe(0, 1)
-        if sign >= 0:  # up while the next full twist still fits under w
-            while t < limit and (above := self._probe(t + 1, 1)) >= 0:
-                t, sign = t + 1, above
-        else:  # down until a full twist fits under w
-            while t > -limit and sign < 0:
-                t -= 1
-                sign = self._probe(t, 1)
-        if abs(t) == limit:
-            raise RuntimeError(
-                f"the floor walk reached {t} for a {self._length}-letter word (engine bug)"
-            )
-        if sign == 0:
-            self.central = (t, 1)
-        return t
-
-    def fraction(self, t: int) -> tuple[tuple[int, int], tuple[int, int] | None]:
-        """((p, q), (a, b)): the winner p/q and the last mediant a/b of the
-        Stern-Brocot descent from [t, t + 1] (module notes); (a, b) is None
-        if the probes say w^q = Delta^(2p)."""
-        if self.central == (t, 1):
-            return (t, 1), None
-        lo, hi = (t, 1), (t + 1, 1)
-        while True:
-            a, b = lo[0] + hi[0], lo[1] + hi[1]
+    def descend(self, limit: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The Stern-Brocot descent from 0/1 between -1/0 and 1/0 (module
+        notes): probe the mediant a/b of the interval and keep the half on
+        the side of BT while b <= limit.  Returns the final ends (lo, hi),
+        or (a, b) twice for a probe that read 0.  Raises RuntimeError once
+        a kept end reaches +-(2 len(w) + 1), past any floor."""
+        bound = 2 * self._length + 1
+        lo, hi = (-1, 0), (1, 0)
+        a, b = 0, 1  # the mediant of -1/0 and 1/0 is (0, 0), not the root
+        while b <= limit:
             sign = self._probe(a, b)
-            if b > self.strands:
-                return (hi if sign >= 0 else lo), (a, b)
             if sign == 0:
-                return (a, b), None
+                return (a, b), (a, b)
             if sign > 0:
                 lo = (a, b)
             else:
                 hi = (a, b)
+            if lo[0] >= bound * lo[1] or hi[0] <= -bound * hi[1]:
+                raise RuntimeError(
+                    f"the floor walk reached {a}/{b} for a {self._length}-letter word "
+                    f"(engine bug)"
+                )
+            a, b = lo[0] + hi[0], lo[1] + hi[1]
+        return lo, hi
 
     def _block(self, k: int) -> _Piece:
         """The piece k/1, Delta^(-2k) u: reduced if it is kept, else as written."""
@@ -323,8 +315,9 @@ class _PowerSearch:
                     lo = self._pieces.get((a, b), lo)
         return _join((lo, hi))
 
-    def core(self, P: int, t: int, *, cap: int | None = None) -> tuple[int, ...]:
-        """The letters of the Christoffel word for Delta^(-2t) u^P; raises
+    def twisted_power(self, P: int, t: int, *, cap: int | None = None) -> BraidWord:
+        """A word for Delta^(-2t) w^P with the t full twists spread through
+        the P copies of the core u (see the module notes); raises
         RuntimeError unless its pieces count t twists over P copies."""
         core = self._christoffel(P, t, cap)
         if (core.twists, core.copies) != (t, P):
@@ -332,13 +325,7 @@ class _PowerSearch:
                 f"a certificate word for Delta^{-2 * t} u^{P} counts "
                 f"{core.twists} twists over {core.copies} copies (engine bug)"
             )
-        return core.letters
-
-    def twisted_power(self, P: int, t: int, *, cap: int | None = None) -> BraidWord:
-        """A word for Delta^(-2t) w^P with the t full twists spread through
-        the P copies of the core u (see the module notes)."""
-        letters = self._c + self.core(P, t, cap=cap) + self._c_inverse
-        return BraidWord._unchecked(self.strands, letters)
+        return BraidWord._unchecked(self.strands, self._c + core.letters + self._c_inverse)
 
 
 def _power_sign(search: _PowerSearch, P: int, t: int, *, cap: int | None = None) -> OrderSign:
@@ -352,22 +339,15 @@ def _power_sign(search: _PowerSearch, P: int, t: int, *, cap: int | None = None)
 def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     """Largest t with Delta^(2t) <= the braid of w.
 
-    A Dynnikov walk (_PowerSearch.floor) finds t; two handle-reduction
+    The Dynnikov descent to denominator 1 finds t; two handle-reduction
     compares, Delta^(2t) <= w < Delta^(2t+2), certify it, so a wrong
     probe raises RuntimeError instead of returning a value.  cap bounds
     each of those two reductions; at power 1 nothing is reduced ahead.
     """
     cap = ordering._effective_cap(cap)
     search = _PowerSearch(w)
-    t = search.floor()
-    if _power_sign(search, 1, t, cap=cap) is OrderSign.LESS:
-        raise RuntimeError(
-            f"Delta^{2 * t} <= w failed, so a floor failed its certificate (engine bug)"
-        )
-    if _power_sign(search, 1, t + 1, cap=cap) is not OrderSign.LESS:
-        raise RuntimeError(
-            f"w < Delta^{2 * t + 2} failed, so a floor failed its certificate (engine bug)"
-        )
+    (t, _), _ = search.descend(1)
+    _certify(search, (t, 1), (t + 1, 1), cap)
     return FloorResult(floor=t)
 
 
@@ -384,39 +364,31 @@ def _unique_rational(f: int, P: int, n: int) -> tuple[int, int] | None:
     return found
 
 
-def _certify(search: _PowerSearch, winner, mediant, cap: int) -> bool:
-    """Raise unless the compares prove BT(w) = p/q for the winner (p, q)
-    (module notes); return whether Delta^(2p) <= w^q, which they prove
-    too.  mediant None: one compare, Delta^(-2p) w^q EQUAL to 1.  Else
-    the winner's statement and the last mediant's, each bounded by cap,
-    after the arithmetic check that the two isolate p/q."""
-    (p, q), n = winner, search.strands
-    if mediant is not None:
-        a, b = mediant
-        if abs(p * b - q * a) != 1 or not q <= n < b:
-            raise RuntimeError(
-                f"{p}/{q} and {a}/{b} do not isolate a rational with denominator "
-                f"<= {n} (engine bug)"
-            )
-    search.keep(q, p, cap=cap)
+def _certify(search: _PowerSearch, winner, other, cap: int) -> bool:
+    """Raise unless handle reduction proves that BT(w) lies between the
+    winner p/q and the other end a/b of an interval (module notes):
+    Delta^(2p) <= w^q then w^b < Delta^(2a) if p/q < a/b, the reverse if
+    a/b < p/q, an EQUAL compare counting as <=.  other None: one compare,
+    Delta^(-2p) w^q EQUAL to 1.  Each compare is bounded by cap.  Returns
+    whether Delta^(2p) <= w^q, which the compares prove too."""
+    p, q = winner
     sign = _power_sign(search, q, p, cap=cap)
-    if mediant is None:
+    if other is None:
         if sign is not OrderSign.EQUAL:
             raise RuntimeError(
                 f"w^{q} = Delta^{2 * p} failed its certificate, so the Dynnikov "
                 f"coordinates matched a braid they do not (engine bug)"
             )
         return True
-    lower = p * b < a * q  # the winner is the lower Farey neighbour
+    a, b = other
+    lower = p * b < a * q  # the winner is the lower end
     if (sign is not OrderSign.LESS) != lower:
         raise RuntimeError(
-            f"Delta^{2 * p} {'<=' if lower else '>'} w^{q} failed, so the "
-            f"twist coefficient failed its certificate (engine bug)"
+            f"Delta^{2 * p} {'<=' if lower else '>'} w^{q} failed its certificate (engine bug)"
         )
     if (_power_sign(search, b, a, cap=cap) is OrderSign.LESS) != lower:
         raise RuntimeError(
-            f"Delta^{2 * a} {'>' if lower else '<='} w^{b} failed, so the "
-            f"twist coefficient failed its certificate (engine bug)"
+            f"Delta^{2 * a} {'>' if lower else '<='} w^{b} failed its certificate (engine bug)"
         )
     return lower
 
@@ -424,24 +396,33 @@ def _certify(search: _PowerSearch, winner, mediant, cap: int) -> bool:
 def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     """Exact fractional Dehn twist coefficient of the braid of w.
 
-    A Dynnikov walk finds the floor t of w, and a Stern-Brocot descent
-    from [t, t + 1] over the Farey sequence F_n finds BT = p/q with
-    q <= n and the last mediant a/b, n < b <= 2n - 1.  Handle reduction
-    certifies BT = p/q with two compares, Delta^(2p) against w^q and
-    Delta^(2a) against w^b, or, if the probes say w^q = Delta^(2p), with
-    one compare that must come out EQUAL.  Each is bounded by cap, as is
-    the reduction of each piece they are built from.  Every other field
-    follows by arithmetic (module notes).  Soundness rests only on the
-    cones being closed under products and on BT having denominator
-    <= n, so no probe is trusted: a single wrong answer anywhere raises
-    RuntimeError instead of returning a value.
+    A Dynnikov Stern-Brocot descent over the Farey sequence F_n finds
+    BT = p/q with q <= n and the last mediant a/b, n < b <= 2n - 1.
+    Handle reduction certifies BT = p/q with two compares, Delta^(2p)
+    against w^q and Delta^(2a) against w^b, or, if a probe says
+    w^q = Delta^(2p), with one compare that must come out EQUAL.  Each
+    is bounded by cap, as is the reduction of each piece they are built
+    from.  Every other field follows by arithmetic (module notes).
+    Soundness rests only on the cones being closed under products and on
+    BT having denominator <= n, so no probe is trusted: a single wrong
+    answer anywhere raises RuntimeError instead of returning a value.
     """
     cap = ordering._effective_cap(cap)
     n = w.strands
     search = _PowerSearch(w)
-    winner, mediant = search.fraction(search.floor())
-    below = _certify(search, winner, mediant, cap)
+    lo, hi = search.descend(n)
+    winner, mediant = lo, None
+    if lo != hi:  # the last mediant's probe picks the winner
+        mediant = a, b = lo[0] + hi[0], lo[1] + hi[1]
+        winner = p, q = hi if search._probe(a, b) >= 0 else lo
+        if abs(p * b - q * a) != 1 or not q <= n < b:
+            raise RuntimeError(
+                f"{p}/{q} and {a}/{b} do not isolate a rational with denominator "
+                f"<= {n} (engine bug)"
+            )
     p, q = winner
+    search.keep(q, p, cap=cap)
+    below = _certify(search, winner, mediant, cap)
 
     def floor_of_power(P: int) -> int:
         f, rest = divmod(P * p, q)

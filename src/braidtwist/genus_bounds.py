@@ -3,8 +3,9 @@
 tau_s_bounds reads off the writhe-based window for the tau and s
 invariants of a knot presented as a braid closure.  The closed forms
 (torus tau, upsilon at t=1 for the two torus families, and the
-four-genus of their difference) feed the audits; everything else about
-g3/g4 is caller-supplied ground truth, never invented here.
+four-genus of their difference) are reference values for callers and
+tests; the audits do not use them.  Every g3/g4 an audit reads is
+caller-supplied ground truth, never invented here.
 
 audit_bounds evaluates the floor and twist-coefficient inequalities a
 braid closure is expected to satisfy.  They are rows of one table, which

@@ -76,11 +76,22 @@ VERIFY_REDUCTIONS = False
 
 
 def _effective_cap(cap: int | None) -> int:
+    """cap, else the BRAIDTWIST_STEP_CAP value, else DEFAULT_STEP_CAP;
+    ValueError unless the one chosen is a nonnegative integer."""
     if cap is not None:
         if cap < 0:
             raise ValueError(f"step cap must be nonnegative, got {cap}")
         return cap
-    return int(os.environ.get(STEP_CAP_ENV, DEFAULT_STEP_CAP))
+    text = os.environ.get(STEP_CAP_ENV)
+    if text is None:
+        return DEFAULT_STEP_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{STEP_CAP_ENV} must be a nonnegative integer, got {text!r}")
+    return cap
 
 
 def _sigma_class(letters) -> tuple[int, int] | None:

@@ -158,7 +158,13 @@ def parse_syllables(text: str, strands: int) -> SyllableWord:
                     f"syllable {chunk!r} must have three '|'-separated fields"
                 )
             conj = parse_word(fields[0], strands).letters
-            generator = int(fields[1])
+            generator_text = fields[1].strip()
+            try:
+                generator = int(generator_text)
+            except ValueError:
+                raise ValueError(
+                    f"generator must be an integer, got {generator_text!r}"
+                ) from None
             sign_text = fields[2].strip()
             if sign_text not in ("+", "-"):
                 raise ValueError(f"sign must be '+' or '-', got {sign_text!r}")

@@ -57,6 +57,18 @@ def recording_claims(monkeypatch):
     return claims
 
 
+def recording_probes(monkeypatch):
+    """Record the (a, b) and the sign of every Dynnikov probe."""
+    probes, probe = [], _PowerSearch._probe
+
+    def recording(search, a, b):
+        probes.append((a, b, probe(search, a, b)))
+        return probes[-1][2]
+
+    monkeypatch.setattr(_PowerSearch, "_probe", recording)
+    return probes
+
+
 # Words whose every search probe and certificate compare gets flipped.
 FLIP_WORDS = (
     BraidWord(3, [1, 2]),
@@ -139,7 +151,7 @@ class TestTwistedPower:
         # P - 1), non-coprime pairs, and both sides of the floor.
         for P in (8, 32):
             power = free_reduce(w**P)
-            floor = _PowerSearch(power).floor()
+            (floor, _), _ = _PowerSearch(power).descend(1)
             for t in {1, P - 1, 2, P // 2, P - 2, floor, floor + 1}:
                 target = delta2 ** (-t) * power
                 twisted = search.twisted_power(P, t)
@@ -262,7 +274,7 @@ class TestShrunkPowers:
             power = free_reduce(w**P)
             for j in range(1, P.bit_length()):
                 Q = P >> j
-                floor = _PowerSearch(free_reduce(w**Q)).floor()
+                (floor, _), _ = _PowerSearch(free_reduce(w**Q)).descend(1)
                 for s in (floor, floor + 1):
                     t = s << j
                     oracle = compare(power, delta2**t) is not OrderSign.LESS
@@ -334,7 +346,8 @@ class TestDehornoyFloor:
         assert fdtc_exact(w).floor == dehornoy_floor(w).floor
 
     def test_runaway_floor_walk_raises(self, monkeypatch):
-        """A walk that never turns stops at 2 len(w) + 1 with RuntimeError."""
+        """A descent whose walk never turns stops at 2 len(w) + 1 with
+        RuntimeError."""
         for sign in (1, -1):
             monkeypatch.setattr(_PowerSearch, "_probe", lambda self, a, b, sign=sign: sign)
             with pytest.raises(RuntimeError, match="walk"):
@@ -353,6 +366,36 @@ class TestDehornoyFloor:
             calls.clear()
             dehornoy_floor(w)
             assert len(calls) == 2
+
+    @given(small_words() | periodic_words().map(lambda case: case[0]))
+    @settings(max_examples=40, deadline=None)
+    def test_floor_probes_begin_the_fdtc_probes(self, w):
+        """One descent serves both: the floor stops it at denominator 1,
+        and fdtc_exact goes on from there."""
+        with pytest.MonkeyPatch.context() as patch:
+            probes = recording_probes(patch)
+            dehornoy_floor(w)
+            floor_probes = probes[:]
+            probes.clear()
+            fdtc_exact(w)
+        assert floor_probes and probes[: len(floor_probes)] == floor_probes
+
+    @given(periodic_words().filter(lambda case: case[1].denominator == 1))
+    @settings(max_examples=30, deadline=None)
+    def test_central_power_stops_the_descent(self, case):
+        """For a conjugated Delta^(2j) the descent of either function stops
+        at the probe of j/1, the only one that reads 0, and the floor still
+        makes its two compares, Delta^(2j) <= w and w < Delta^(2j + 2)."""
+        w, j = case[0], int(case[1])
+        with pytest.MonkeyPatch.context() as patch:
+            probes, claims = recording_probes(patch), recording_claims(patch)
+            for function in (dehornoy_floor, fdtc_exact):
+                probes.clear()
+                function(w)
+                assert probes[-1] == (j, 1, 0) and all(sign for *_, sign in probes[:-1])
+            claims.clear()
+            assert dehornoy_floor(w).floor == j
+            assert claims == [(1, j), (1, j + 1)]
 
 
 class TestFdtcInterval:
@@ -505,7 +548,7 @@ class TestFdtcExact:
         """A probe forced to read 0 (w^b = Delta^(2a)) in the descent of a
         word that is not periodic, or a true hit reported with its twists
         shifted, fails its handle reduction."""
-        probe, fraction = _PowerSearch._probe, _PowerSearch.fraction
+        probe, descend = _PowerSearch._probe, _PowerSearch.descend
 
         def forcing(k):
             calls = []
@@ -522,19 +565,18 @@ class TestFdtcExact:
             seen = []
             monkeypatch.setattr(_PowerSearch, "_probe", lambda self, a, b: seen.append(b) or probe(self, a, b))
             fdtc_exact(w)
-            descent = [k for k, b in enumerate(seen) if b > 1]  # b = 1: the floor walk
-            assert descent
-            for k in descent:
+            assert seen
+            for k in range(len(seen)):
                 monkeypatch.setattr(_PowerSearch, "_probe", forcing(k))
                 with pytest.raises(RuntimeError):
                     fdtc_exact(w)
         monkeypatch.setattr(_PowerSearch, "_probe", probe)
         for shift in (-1, 1):
-            def shifted(self, t, shift=shift):
-                (p, q), mediant = fraction(self, t)
-                return ((p + shift, q) if mediant is None else (p, q)), mediant
+            def shifted(self, limit, shift=shift):
+                lo, hi = descend(self, limit)
+                return (lo, hi) if lo != hi else ((lo[0] + shift, lo[1]),) * 2
 
-            monkeypatch.setattr(_PowerSearch, "fraction", shifted)
+            monkeypatch.setattr(_PowerSearch, "descend", shifted)
             for w in PERIODIC_WORDS:
                 with pytest.raises(RuntimeError):
                     fdtc_exact(w)
@@ -542,17 +584,16 @@ class TestFdtcExact:
     def test_mediant_must_be_a_farey_neighbour(self, monkeypatch):
         """A last mediant that does not isolate the winner p/q among the
         rationals with denominator <= n raises before any value, although
-        both compares would hold: (2a, 2b) makes the statement of (a, b)
-        but |p 2b - q 2a| = 2, and (a - p, b - q), the winner's other
-        Farey neighbour, has denominator <= n."""
-        fraction = _PowerSearch.fraction
-        moves = (lambda p, q, a, b: (2 * a, 2 * b), lambda p, q, a, b: (a - p, b - q))
+        both compares would hold: the ends doubled make the mediant
+        (2a, 2b), the statement of (a, b) but with |p 2b - q 2a| = 2, and a
+        descent cut off at n // 2 leaves a mediant of denominator <= n."""
+        descend = _PowerSearch.descend
+        moves = (
+            lambda self, limit: tuple((2 * a, 2 * b) for a, b in descend(self, limit)),
+            lambda self, limit: descend(self, limit // 2),
+        )
         for move in moves:
-            def moved(self, t, move=move):
-                (p, q), mediant = fraction(self, t)
-                return (p, q), None if mediant is None else move(p, q, *mediant)
-
-            monkeypatch.setattr(_PowerSearch, "fraction", moved)
+            monkeypatch.setattr(_PowerSearch, "descend", move)
             for w in FLIP_WORDS:
                 if w in PERIODIC_WORDS:
                     continue
@@ -560,16 +601,21 @@ class TestFdtcExact:
                     fdtc_exact(w)
 
     def test_wrong_search_floor_raises(self, monkeypatch):
-        """A search floor other than f // P for the certified f of w^P
-        never comes back as a value."""
-        floor = _PowerSearch.floor
+        """A descent whose interval is shifted by +-1, and so whose floor is
+        wrong, never comes back as a value from either function."""
+        descend = _PowerSearch.descend
         for w in FLIP_WORDS:
             for shift in (-1, 1):
                 monkeypatch.setattr(
-                    _PowerSearch, "floor", lambda self, shift=shift: floor(self) + shift
+                    _PowerSearch,
+                    "descend",
+                    lambda self, limit, shift=shift: tuple(
+                        (a + shift * b, b) for a, b in descend(self, limit)
+                    ),
                 )
-                with pytest.raises(RuntimeError):
-                    fdtc_exact(w)
+                for function in (fdtc_exact, dehornoy_floor):
+                    with pytest.raises(RuntimeError):
+                        function(w)
 
     def test_step_cap_resolved_once_before_the_search(self, monkeypatch):
         """cap is validated before any search work, and the default cap is

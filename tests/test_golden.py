@@ -16,7 +16,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -121,6 +123,7 @@ _case("qp_mixed_check", ["qp", "--strands", "3", " | 1 | +; 1 | 2 | +; | 2 | -",
 _case("qp_link_check", ["qp", "--strands", "4", " | 1 | +; | 3 | +", "--check"])
 _case("qp_two_strands_check", ["qp", "--strands", "2", " | 1 | +", "--check"])
 _case("qp_empty_check", ["qp", "--strands", "3", "", "--check"])
+_case("qp_bad_generator", ["qp", "--strands", "3", "2 | x | +"])
 
 
 def run_case(argv: list[str], corpus: str | None, workdir: Path) -> dict:
@@ -163,6 +166,28 @@ def test_ktd_corpus_matches_the_script(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(script)])
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out == KTD_CORPUS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ktd_corpus.py", "--max-m", "20", "--max-k", "20"], ["family_floor_grid.py"]],
+    ids=["ktd_corpus", "family_floor_grid"],
+)
+def test_script_output_cut_short(argv):
+    """A reader that leaves after one line, as `| head -n 1` does, sees the
+    script end quietly: exit status 0 and no traceback.  The corpus is
+    larger than a pipe buffer and the output unbuffered, so each script
+    is still writing when the reader leaves."""
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONUNBUFFERED": "1"}
+    process = subprocess.Popen(
+        [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert process.stdout.readline()
+    process.stdout.close()
+    _, stderr = process.communicate(timeout=120)
+    assert "Traceback" not in stderr.decode() and process.returncode == 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidtwist.fdtc as fdtc
 import braidtwist.ordering as ordering
 from braidtwist import (
     BraidWord,
@@ -242,7 +244,17 @@ class TestStepCap:
         out = handle_reduce(w, cap=DEFAULT_STEP_CAP)
         assert syntactic_sigma_class(out) is not None or len(out) == 0
 
-    def test_invalid_env_value(self, monkeypatch):
-        monkeypatch.setenv(STEP_CAP_ENV, "not-a-number")
-        with pytest.raises(ValueError):
-            handle_reduce(BraidWord(3, [1, 2, -1]))
+    @pytest.mark.parametrize("value", ["-5", "1.5", "x"])
+    def test_invalid_env_value(self, monkeypatch, value):
+        """A bad BRAIDTWIST_STEP_CAP is named in one ValueError before any
+        search work, whether or not the word needs a sweep."""
+        monkeypatch.setenv(STEP_CAP_ENV, value)
+        message = f"{STEP_CAP_ENV} must be a nonnegative integer, got '{value}'"
+        with monkeypatch.context() as patch:
+            patch.setattr(fdtc, "_PowerSearch", None)
+            for function in (fdtc.fdtc_exact, fdtc.dehornoy_floor):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    function(BraidWord(3, [1, 2]))
+        for letters in ([1, 2, -1], [1, 2]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                handle_reduce(BraidWord(3, letters))

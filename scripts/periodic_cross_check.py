@@ -6,8 +6,8 @@ epsilon^(n-1) = Delta^2), conjugated by a seeded random word, must get
 value j/n or j/(n-1), and a floor_of_power equal to
 dehornoy_floor(free_reduce(w**power_used)), which runs the same
 Stern-Brocot descent on the power, stopped at denominator 1, and
-certifies its floor with two compares even when the power is central.  Exit status 1 if any
-word disagrees.
+certifies its floor with two compares even when the power is central.
+Exit status 1 if any word disagrees.
 
 Usage: python3 scripts/periodic_cross_check.py [--max-n 7] [--seed 1]
 """

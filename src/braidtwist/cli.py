@@ -1,7 +1,9 @@
 """Command-line front end and the JSON-lines corpus auditor.
 
 Exit codes: 0 success, 1 domain error (bad word, bad parameters, cap
-exceeded, audit entries that failed to process), 2 usage error.
+exceeded, audit entries that failed to process), 2 usage error.  A
+reader that closes stdout early, as `| head` does, ends a command
+quietly with exit code 0.
 Machine-facing output uses one JSON object per result; `audit` emits
 JSON-lines, one record per corpus entry, in input order.  Rationals are
 serialized as exact fraction strings ("2/3", "-1/2", "3") and round-trip
@@ -14,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -260,12 +263,17 @@ def _fraction(key: str, value) -> Fraction:
         return Fraction(str(value))
     except ZeroDivisionError:
         raise ValueError(f"{key} has a zero denominator: {value!r}") from None
+    except ValueError:
+        raise ValueError(f"{key} must be a rational number, got {json.dumps(value)}") from None
 
 
 def _integer(key: str, value) -> int:
     # int() alone would truncate 1.5 and true to 1, and raise TypeError on null or [1].
     if type(value) in (str, int) or (type(value) is float and value.is_integer()):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            pass
     raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
 
 
@@ -506,13 +514,21 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:  # not an input error: main() ends quietly
+        raise
     except (ReductionCapError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -70,45 +70,27 @@ own.
 
 Certificate words.  A handle reduction's cost depends on where the
 letters sit, not only on how many there are: on the words of the
-fdtc_small_n benchmark, Delta^(-2t) w^Q with all the inverse twists in
-front takes about 2.5 times as long to reduce as the same braid with
-the twists spread through the power, each copy of u carrying its share.
-So each compare reduces c W c^-1, where W is the Christoffel word of
-slope t/Q over the blocks B(k) = Delta^(-2k) u, k = floor(t/Q) and
-k + 1, built by its standard factorization along the Stern-Brocot
-tree.  A piece of slope a/b (a twists over b copies) is a word for
-Delta^(-2a) u^b.  The descent toward t/Q starts from the pieces
-k/1 = B(k) and (k+1)/1 = B(k+1); the word of a mediant is the word of
-its left end followed by that of its right end, so a run of j equal
-moves (the runs are the partial quotients of t/Q) replaces the right
-end hi by lo^j hi, or the left end lo by lo hi^j.  W is lo hi of the
-final interval, whose mediant is t/Q; at Q = 1 it is B(t), and for
-g = gcd(t, Q) > 1 it is the word of (t/g, Q/g) repeated g times.  The
-full twist is written (s_1 ... s_(n-1))^n: the compares of fdtc_exact
-on the fdtc_small_n words then take about a fifth fewer handle
-reductions than with the Garside word Delta Delta.
+fdtc_small_n benchmark, the certificate words Delta^(-2t) w^Q with all
+the inverse twists in front take about 1.9 times as long to reduce as
+the same braids with the twists spread through the power, each copy of
+u carrying its share.  So each compare reduces c B(k_1) ... B(k_Q) c^-1
+over the blocks B(k) = Delta^(-2k) u, with
+k_i = floor(i t / Q) - floor((i - 1) t / Q): the balanced (Christoffel)
+arrangement of slope t/Q, in which every k_i is floor(t/Q) or
+floor(t/Q) + 1.  The full twist is written (s_1 ... s_(n-1))^n: the
+compares of fdtc_exact on the fdtc_small_n words then take about a
+fifth fewer handle reductions than with the Garside word Delta Delta.
+Each block is handle-reduced the first time a word of the search asks
+for it and kept by k; every compare is at a power Q <= 2n - 1, so a
+word is at most 2n - 1 kept blocks of two kinds.  The k_i telescope to
+t over the Q copies, so the word equals Delta^(-2t) w^Q by
+construction: Delta^2 is central, c^-1 c cancels freely and every
+handle reduction is an identity in B_n.  The arrangement changes what a
+compare costs, never its answer.  The word is built from the same split
+c, u that the search holds, and only the handle reduction engine goes
+into it: nothing from the search does.
 
-A Christoffel word has few distinct factors, so its pieces repeat, and
-each is handle-reduced once per search: every run's new end is reduced
-when it is built and kept by its slope, except the last run's, which
-goes straight into the compare unless it is kept; a base block B(k)
-and the repeated word of a non-coprime pair are reduced when they fill
-two or more places.  A base block that fills one place is left as
-written, unless an earlier word of the search has reduced it: there is
-no repeated work to save, and reducing a long Delta^2 ahead costs more
-than it saves.  The winner's word is reduced and kept before its
-compare: the word of the last mediant is the words of its two Farey
-parents one after the other, and the winner is one of them.  For a
-periodic braid, u^q = Delta^(2p), the piece of slope p/q reduces
-to the empty word and every piece built from it collapses with it.
-Each piece carries its counts (a, b); a concatenation adds them, and a
-word whose counts are not (t, Q) raises RuntimeError.  The word then
-equals Delta^(-2t) w^Q because Delta^2 is central, c^-1 c cancels
-freely and every handle reduction is an identity in B_n; it is built
-from the same split c, u that the search holds, and only the handle
-reduction engine goes into it: nothing from the search does.
-
-The step cap (`cap`) is resolved once per call and bounds each piece
+The step cap (`cap`) is resolved once per call and bounds each block
 reduction and each certificate reduction.  A Dynnikov probe applies its
 new copies of u, |a - s| blocks of n(n - 1) letters and c^-1, a few
 integer operations per letter, and needs no budget.
@@ -120,7 +102,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import dynnikov, ordering
 
@@ -164,25 +145,6 @@ class FdtcResult:
     floor: int
 
 
-class _Piece(NamedTuple):
-    """A word for Delta^(-2 twists) u^copies (module notes)."""
-
-    letters: tuple[int, ...]
-    twists: int
-    copies: int
-
-
-def _join(pieces) -> _Piece:
-    """The pieces one after another: the words concatenate, the counts add."""
-    letters: list[int] = []
-    twists = copies = 0
-    for piece in pieces:
-        letters.extend(piece.letters)
-        twists += piece.twists
-        copies += piece.copies
-    return _Piece(tuple(letters), twists, copies)
-
-
 @functools.lru_cache(maxsize=4)
 def _full_twists(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The letters of Delta^2 = (s_1 ... s_(n-1))^n and of Delta^-2 on n strands."""
@@ -194,9 +156,9 @@ class _PowerSearch:
     """Dynnikov probes of Delta^(-2a) w^b sharing one state: the
     coordinates of c u^P Delta^(-2s) for w = c u c^-1, P the copies and
     s the twists it holds (see the module notes); a probe reduces and
-    rewrites nothing.  The split c, u and the full twist blocks also
-    build the certificate words (twisted_power) from Christoffel
-    pieces, whose handle-reduced forms are kept by slope."""
+    rewrites nothing.  The split c, u and the full twists also build the
+    certificate words (twisted_power) from the blocks Delta^(-2k) u,
+    whose handle-reduced forms are kept by k."""
 
     def __init__(self, w: BraidWord) -> None:
         self.strands = w.strands
@@ -209,7 +171,7 @@ class _PowerSearch:
         self._copies = 1
         self._twists = 0
         self._length = len(w)
-        self._pieces: dict[tuple[int, int], _Piece] = {}
+        self._blocks: dict[int, tuple[int, ...]] = {}
 
     def _probe(self, a: int, b: int) -> int:
         """+1, 0 or -1 as Delta^(-2a) w^b is >, = or < 1, for b no smaller
@@ -249,88 +211,30 @@ class _PowerSearch:
             a, b = lo[0] + hi[0], lo[1] + hi[1]
         return lo, hi
 
-    def _block(self, k: int) -> _Piece:
-        """The piece k/1, Delta^(-2k) u: reduced if it is kept, else as written."""
-        kept = self._pieces.get((k, 1))
-        if kept is not None:
-            return kept
-        return _Piece((self._untwist if k > 0 else self._twist) * abs(k) + self._u, k, 1)
-
-    def _reduced(self, piece: _Piece, cap: int | None) -> _Piece:
-        """piece handle-reduced (bounded by cap), empty or sigma-definite:
-        reduced the first time its slope is asked for and kept for every
-        later call."""
-        key = (piece.twists, piece.copies)
-        reduced = self._pieces.get(key)
-        if reduced is None:
-            word = BraidWord._unchecked(self.strands, piece.letters)
-            reduced = _Piece(ordering.handle_reduce(word, cap=cap).letters, *key)
-            self._pieces[key] = reduced
-        return reduced
-
-    def keep(self, P: int, t: int, *, cap: int | None = None) -> None:
-        """Reduce the Christoffel word of slope t/P as a piece and keep it,
-        for its own compare and every later word that holds it."""
-        self._reduced(self._christoffel(P, t, cap), cap)
-
-    def _christoffel(self, P: int, t: int, cap: int | None) -> _Piece:
-        """Delta^(-2t) u^P as the Christoffel word of slope t/P over the
-        blocks Delta^(-2k) u, from pieces each reduced at most once per
-        search (see the module notes)."""
-        kept = self._pieces.get((t, P))
-        if kept is not None:
-            return kept
-        g = math.gcd(t, P)
-        if g > 1:
-            return _join([self._reduced(self._christoffel(P // g, t // g, cap), cap)] * g)
-        k, r = divmod(t, P)  # the word holds r blocks B(k + 1) and P - r blocks B(k)
-        lo = self._block(k)
-        if P == 1:
-            return lo
-        hi = self._block(k + 1)
-        if P - r > 1:
-            lo = self._reduced(lo, cap)
-        if r > 1:
-            hi = self._reduced(hi, cap)
-        # Stern-Brocot descent: lo and hi have the slopes a/b < t/P < c/d,
-        # and the descent stops when their mediant is t/P.
-        a, b, c, d = k, 1, k + 1, 1
-        while (a + c, b + d) != (t, P):
-            below, above = t * b - P * a, P * c - t * d  # both positive
-            if above > below:  # t/P is left of the mediant: hi <- lo^j hi
-                j = (above - 1) // below
-                c, d = c + j * a, d + j * b
-                hi = _join([lo] * j + [hi])
-                if (a + c, b + d) != (t, P):  # not the last run
-                    hi = self._reduced(hi, cap)
-                else:
-                    hi = self._pieces.get((c, d), hi)
-            else:  # lo <- lo hi^j
-                j = (below - 1) // above
-                a, b = a + j * c, b + j * d
-                lo = _join([lo] + [hi] * j)
-                if (a + c, b + d) != (t, P):
-                    lo = self._reduced(lo, cap)
-                else:
-                    lo = self._pieces.get((a, b), lo)
-        return _join((lo, hi))
+    def _block(self, k: int, cap: int | None) -> tuple[int, ...]:
+        """The letters of B(k) = Delta^(-2k) u handle-reduced (bounded by
+        cap), empty or sigma-definite: reduced the first time k is asked
+        for and kept for every later word of the search."""
+        block = self._blocks.get(k)
+        if block is None:
+            letters = (self._untwist if k > 0 else self._twist) * abs(k) + self._u
+            word = BraidWord._unchecked(self.strands, letters)
+            block = self._blocks[k] = ordering.handle_reduce(word, cap=cap).letters
+        return block
 
     def twisted_power(self, P: int, t: int, *, cap: int | None = None) -> BraidWord:
-        """A word for Delta^(-2t) w^P with the t full twists spread through
-        the P copies of the core u (see the module notes); raises
-        RuntimeError unless its pieces count t twists over P copies."""
-        core = self._christoffel(P, t, cap)
-        if (core.twists, core.copies) != (t, P):
-            raise RuntimeError(
-                f"a certificate word for Delta^{-2 * t} u^{P} counts "
-                f"{core.twists} twists over {core.copies} copies (engine bug)"
-            )
-        return BraidWord._unchecked(self.strands, self._c + core.letters + self._c_inverse)
+        """A word for Delta^(-2t) w^P: c, the kept blocks B(k_1) ... B(k_P)
+        with k_i = floor(i t / P) - floor((i - 1) t / P), then c^-1 (see
+        the module notes)."""
+        core: list[int] = []
+        for i in range(1, P + 1):
+            core.extend(self._block(i * t // P - (i - 1) * t // P, cap))
+        return BraidWord._unchecked(self.strands, self._c + tuple(core) + self._c_inverse)
 
 
 def _power_sign(search: _PowerSearch, P: int, t: int, *, cap: int | None = None) -> OrderSign:
     """The order sign of Delta^(-2t) w^P against 1, by one handle
-    reduction of search.twisted_power(P, t), whose pieces are reduced at
+    reduction of search.twisted_power(P, t), whose blocks are reduced at
     most once per search."""
     word = search.twisted_power(P, t, cap=cap)
     return compare(word, BraidWord(search.strands), cap=cap)
@@ -342,7 +246,8 @@ def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     The Dynnikov descent to denominator 1 finds t; two handle-reduction
     compares, Delta^(2t) <= w < Delta^(2t+2), certify it, so a wrong
     probe raises RuntimeError instead of returning a value.  cap bounds
-    each of those two reductions; at power 1 nothing is reduced ahead.
+    each of those two reductions and that of each block they are built
+    from, B(t) and B(t + 1).
     """
     cap = ordering._effective_cap(cap)
     search = _PowerSearch(w)
@@ -401,8 +306,8 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
     Handle reduction certifies BT = p/q with two compares, Delta^(2p)
     against w^q and Delta^(2a) against w^b, or, if a probe says
     w^q = Delta^(2p), with one compare that must come out EQUAL.  Each
-    is bounded by cap, as is the reduction of each piece they are built
-    from.  Every other field follows by arithmetic (module notes).
+    is bounded by cap, as is the reduction of each full-twist block they
+    are built from.  Every other field follows by arithmetic (module notes).
     Soundness rests only on the cones being closed under products and on
     BT having denominator <= n, so no probe is trusted: a single wrong
     answer anywhere raises RuntimeError instead of returning a value.
@@ -421,7 +326,6 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
                 f"<= {n} (engine bug)"
             )
     p, q = winner
-    search.keep(q, p, cap=cap)
     below = _certify(search, winner, mediant, cap)
 
     def floor_of_power(P: int) -> int:

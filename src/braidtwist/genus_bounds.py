@@ -175,10 +175,10 @@ def audit_bounds(
     With predicates=None, every predicate whose inputs were supplied is
     evaluated; explicitly requesting one without its inputs is an error.
     Every input is validated before the floor and BT are computed.
-    Genus values are caller-provided ground truth.  question15 failures
-    are flagged counterexample-candidate rather than fail: the bound is
-    an open question, and a braid violating it is a discovery to report,
-    not a broken invariant.
+    Genus values are caller-provided ground truth and must not be
+    negative.  question15 failures are flagged counterexample-candidate
+    rather than fail: the bound is an open question, and a braid
+    violating it is a discovery to report, not a broken invariant.
     """
     if closure_components(w) != 1:
         raise ValueError("closure is not a knot")
@@ -189,6 +189,9 @@ def audit_bounds(
         "finite_concordance_order": finite_concordance_order,
         "qp_length": qp_length,
     }
+    for key in ("g3", "g4", "g4_upper"):
+        if values[key] is not None and Fraction(values[key]) < 0:
+            raise ValueError(f"{key} must be nonnegative, got {values[key]}")
     supplied = [
         name for name, p in _TABLE.items() if any(values[k] is not None for k in p.inputs)
     ]

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -390,3 +394,25 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    def test_missing_corpus_file(self, tmp_path, capsys):
+        assert run(["audit", str(tmp_path / "missing.jsonl")]) == 1
+        assert "No such file" in capsys.readouterr().err
+
+    def test_output_cut_short(self, tmp_path):
+        """A reader that leaves after one line, as `| head -n 1` does, sees
+        `audit` end quietly: exit status 0 and nothing on stderr.  The
+        output is larger than a pipe buffer and unbuffered, so the command
+        is still writing when the reader leaves."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"n": 3, "word": [1, 2], "meta": {"g3": 1}}\n' * 3000, encoding="utf-8")
+        src = Path(__file__).parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+        process = subprocess.Popen(
+            [sys.executable, "-m", "braidtwist.cli", "audit", "--json", str(corpus)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert process.stdout.readline()
+        process.stdout.close()
+        _, stderr = process.communicate(timeout=120)
+        assert stderr.decode() == "" and process.returncode == 0

@@ -158,93 +158,52 @@ class TestTwistedPower:
                 assert dynnikov.order_sign(twisted.inverse() * target) is OrderSign.EQUAL
                 assert at_least(search, P, t) == (dynnikov.order_sign(target) is not OrderSign.LESS)
 
-    def test_core_is_the_balanced_arrangement(self, monkeypatch):
-        """Written out with no piece reduced, the core of Delta^(-2t) w^P is
-        B(k_1) ... B(k_P), B(k) = Delta^(-2k) u and
-        k_j = floor(j t / P) - floor((j - 1) t / P): the Christoffel word of
-        slope t/P, with each copy of u carrying its share of the twists."""
-        monkeypatch.setattr(_PowerSearch, "_reduced", lambda self, piece, cap: piece)
+    def test_core_is_the_balanced_arrangement(self):
+        """The core of Delta^(-2t) w^P is the kept blocks B(k_1) ... B(k_P),
+        B(k) = Delta^(-2k) u and k_j = floor(j t / P) - floor((j - 1) t / P):
+        the Christoffel word of slope t/P, with each copy of u carrying its
+        share of the twists."""
         search = _PowerSearch(BraidWord(3, [2, 1, -2]))  # c = [2], u = [1]
-        twist, untwist = _full_twists(3)
-        assert twist == (1, 2) * 3
-
-        def block(k):
-            return (untwist if k > 0 else twist) * abs(k) + (1,)
-
         for P, t in self.CLAIMS:
+            word = search.twisted_power(P, t)
             ks = [j * t // P - (j - 1) * t // P for j in range(1, P + 1)]
-            want = itertools.chain.from_iterable(map(block, ks))
-            assert search.twisted_power(P, t).letters == (2, *want, -2)
+            assert sum(ks) == t and set(ks) <= {t // P, t // P + 1}
+            want = itertools.chain.from_iterable(search._blocks[k] for k in ks)
+            assert word.letters == (2, *want, -2)
 
-    def test_twists_are_spread_over_the_copies(self, monkeypatch):
-        """Each kept piece a/b comes from one reduction, counts a twists
-        over b copies, is the same braid as Delta^(-2a) u^b, and is empty
-        or sigma-definite; a block that fills one place stays as written."""
+    def test_each_block_is_reduced_once_and_kept(self, monkeypatch):
+        """Each kept block B(k) comes from one handle_reduce call per search,
+        of Delta^(-2k) u as written, and is the same braid as it, empty or
+        sigma-definite; the words built from the blocks are the braids
+        Delta^(-2t) w^P."""
         reductions = []
         reduce = ordering.handle_reduce
 
         def counting(w, *, cap=None):
-            reductions.append(w)
+            reductions.append(w.letters)
             return reduce(w, cap=cap)
 
         monkeypatch.setattr(ordering, "handle_reduce", counting)
         u = BraidWord(4, [1, 2, 3, 3, -2])
         search = _PowerSearch(u.conjugate_by(BraidWord(4, [2, -3])))  # c = [2, -3]
-        delta2 = garside_delta(4, squared=True)
-        single = _full_twists(4)[1] + u.letters  # B(1), once in the word for (32, 1)
-        assert search.twisted_power(32, 1).letters[-2 - len(single) : -2] == single
-        assert (1, 1) not in search._pieces
+        twist, untwist = _full_twists(4)
         words = {(P, t): search.twisted_power(P, t) for P, t in self.CLAIMS}
-        assert len(reductions) == len(search._pieces)
-        assert sum(b > 1 for _, b in search._pieces) >= 5
+        assert sorted(search._blocks) == [-1, 0, 1, 5]
+        assert sorted(reductions) == sorted(
+            (untwist if k > 0 else twist) * abs(k) + u.letters for k in search._blocks
+        )
+        monkeypatch.setattr(ordering, "handle_reduce", reduce)
+        delta2 = garside_delta(4, squared=True)
+        for k, letters in search._blocks.items():
+            kept = BraidWord(4, letters)
+            assert compare(kept, delta2 ** (-k) * u) is OrderSign.EQUAL
+            assert not kept.letters or syntactic_sigma_class(kept) is not None
         for (P, t), word in words.items():
             assert compare(word.conjugate_by(BraidWord(4, [3, -2])), delta2 ** (-t) * u**P) is OrderSign.EQUAL
-        for (a, b), piece in search._pieces.items():
-            assert (piece.twists, piece.copies) == (a, b)
-            kept = BraidWord(4, piece.letters)
-            assert compare(kept, delta2 ** (-a) * u**b) is OrderSign.EQUAL
-            assert not kept.letters or syntactic_sigma_class(kept) is not None
-
-    def test_kept_word_is_reused(self):
-        """keep(P, t) reduces the word of slope t/P once; its own compare
-        reads the kept piece, and so does the word of a mediant whose later
-        Farey parent it is: 2/5 is 1/3 then 1/2, and 1/3 ends the last run."""
-        u, c = BraidWord(4, [1, 2, 3, 3, -2]), BraidWord(4, [2, -3])
-        search = _PowerSearch(u.conjugate_by(c))
-        search.keep(3, 1)
-        kept = search._pieces[1, 3].letters
-        assert search.twisted_power(3, 1).letters == (2, -3, *kept, 3, -2)
-        core = search.twisted_power(5, 2).letters[2:-2]
-        assert core[: len(kept)] == kept
-        assert core[len(kept) :] == search._pieces[1, 2].letters
-        delta2 = garside_delta(4, squared=True)
-        assert compare(BraidWord(4, core), delta2 ** (-2) * u**5) is OrderSign.EQUAL
-
-    def test_periodic_piece_is_empty(self):
-        """u^5 = Delta^6 for the torus braid u of T(5, 3), so the piece of
-        slope 3/5, built on the way to 39/64, reduces to the empty word."""
-        torus = BraidWord(5, [1, 2, 3, 4] * 3)
-        search = _PowerSearch(torus.conjugate_by(BraidWord(5, [2, 2, -3])))
-        assert _power_sign(search, 64, 39) is OrderSign.LESS  # 39/64 > 3/5
-        assert search._pieces[3, 5].letters == ()
-
-    def test_piece_with_wrong_counts_raises(self, monkeypatch):
-        """A piece whose counts do not add up to (t, P) never reaches a
-        comparison."""
-        reduced = _PowerSearch._reduced
-
-        def miscounted(self, piece, cap):
-            return reduced(self, piece, cap)._replace(twists=piece.twists + 1)
-
-        monkeypatch.setattr(_PowerSearch, "_reduced", miscounted)
-        with pytest.raises(RuntimeError):
-            _PowerSearch(BraidWord(3, [1, 2])).twisted_power(16, 9)
-        with pytest.raises(RuntimeError):
-            fdtc_exact(BraidWord(3, [1, 2] * 4))
 
     def test_cap_bounds_each_block_reduction(self):
-        """A cap below the steps one piece's reduction takes raises, even
-        though the comparison that needs the piece would fit under it."""
+        """A cap below the steps one block's reduction takes raises, even
+        though the comparison that needs the block would fit under it."""
         w = BraidWord(4, [3, 2, 1, 1])  # c empty, u = w
         block = BraidWord(4, _full_twists(4)[1] + w.letters)
         steps = 0
@@ -289,7 +248,7 @@ class TestStepBudget:
     takes 1,798 (B_4) and 1,916 (B_5) handle reductions; the largest
     single reduction of a whole fdtc_exact run, whose compares are at
     powers up to 2n - 1 with the twists spread through the power, takes
-    130 and 83.
+    68 and 45.
     """
 
     CAP = 700

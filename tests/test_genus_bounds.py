@@ -179,6 +179,9 @@ class TestAuditBounds:
             ({"predicates": ["qp", "ito"]}, "'ito' needs g3"),
             ({"qp_length": 2, "predicates": ["qp", "slice3"]}, "needs finite_concordance_order"),
             ({"predicates": ["qp", "genus"]}, "unknown predicate 'genus'"),
+            ({"g4": -5}, "g4 must be nonnegative, got -5"),
+            ({"g3": Fraction(-1, 2), "qp_length": 2}, "g3 must be nonnegative, got -1/2"),
+            ({"g4_upper": "-1", "predicates": ["ito"]}, "g4_upper must be nonnegative, got -1"),
         ],
     )
     def test_inputs_are_validated_before_engine_work(self, monkeypatch, kwargs, message):

@@ -111,6 +111,7 @@ _case("bounds_missing_inputs", ["bounds", "--strands", "3", KNOT, "--predicates"
 _case("bounds_qp_length_zero", ["bounds", "--strands", "3", KNOT, "--qp-length", "0"])
 _case("bounds_bad_g3", ["bounds", "--strands", "3", KNOT, "--g3", "abc"])
 _case("bounds_g3_zero_denominator", ["bounds", "--strands", "3", KNOT, "--g3", "1/0"])
+_case("bounds_negative_g4", ["bounds", "--strands", "3", "1 2", "--g4=-5"])
 _case("bounds_link", ["bounds", "--strands", "3", "1 1"])
 _case("bounds_link_with_g3", ["bounds", "--strands", "3", "1 1", "--g3", "1"])
 _case("bounds_link_with_predicates", ["bounds", "--strands", "3", "1 1", "--predicates", ""])

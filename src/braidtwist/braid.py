@@ -121,7 +121,9 @@ class Permutation:
         return cycles
 
 
-_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$", re.ASCII)
+# The signed integers int() reads, less its "1_0" and non-ASCII digits.
+_INTEGER = re.compile(r"^[-+]?\d+$", re.ASCII)
 
 # Default budget of handle reductions for one ordering computation, and
 # the most letters parse_word expands a text into.
@@ -133,9 +135,10 @@ def parse_word(text: str, n: int) -> BraidWord:
 
     Two token forms are accepted and may be mixed: signed integers
     ("1 2 -2 -1") and the alias form "s1 s2^-1" with an optional integer
-    exponent.  The empty string is the identity.  An alias's generator and
-    the length it expands to (at most DEFAULT_STEP_CAP letters in all) are
-    checked before it is expanded.
+    exponent, written in ASCII digits with no "_" separators.  The empty
+    string is the identity.  An alias's generator and the length it
+    expands to (at most DEFAULT_STEP_CAP letters in all) are checked
+    before it is expanded.
     """
     if n < 2:
         raise ValueError(f"need at least 2 strands, got {n}")
@@ -159,10 +162,9 @@ def parse_word(text: str, n: int) -> BraidWord:
                 )
             letters.extend([letter] * abs(exponent))
             continue
-        try:
-            letter = int(token)
-        except ValueError:
-            raise ValueError(f"malformed token {token!r}") from None
+        if not _INTEGER.match(token):
+            raise ValueError(f"malformed token {token!r}")
+        letter = int(token)
         if letter == 0:
             raise ValueError("zero is not a generator letter")
         letters.append(letter)
@@ -273,77 +275,47 @@ def positive_braid_genus(w: BraidWord) -> Fraction:
     return Fraction(len(w.letters) - w.strands + 1, 2)
 
 
-@functools.cache
-def _reduced_word_for(images: tuple[int, ...]) -> tuple[int, ...]:
-    """A positive reduced word whose permutation is the given bijection.
+@functools.lru_cache(maxsize=64)
+def _full_twist_from(n: int, i: int) -> tuple[int, ...]:
+    """The letters of Delta^2 on n strands, beginning with sigma_i.
 
-    Bubble sort into the target arrangement; each adjacent swap fixes one
-    inversion, so the word length equals the inversion count and the word
-    is reduced.  Any two reduced words of the same permutation agree as
-    positive braids.
+    The word is (s_i ... s_(n-1) s_1 ... s_(i-1))^n.  Its base is a cyclic
+    rotation, hence a conjugate, of s_1 ... s_(n-1), whose n-th power is
+    the central Delta^2; so the word is Delta^2 itself, and dropping its
+    first letter leaves a positive word for sigma_i^-1 Delta^2.
     """
-    n = len(images)
-    final_pos = {strand: images[strand - 1] for strand in range(1, n + 1)}
-    arr = list(range(1, n + 1))
-    word: list[int] = []
-    swapped = True
-    while swapped:
-        swapped = False
-        for p in range(n - 1):
-            if final_pos[arr[p]] > final_pos[arr[p + 1]]:
-                arr[p], arr[p + 1] = arr[p + 1], arr[p]
-                word.append(p + 1)
-                swapped = True
-    return tuple(word)
+    return (tuple(range(i, n)) + tuple(range(1, i))) * n
 
 
-@functools.cache
-def _positive_words_for_inverses(n: int) -> dict[int, tuple[int, ...]]:
-    """For each generator index i, a positive word equal to sigma_i^-1 Delta^2.
-
-    Delta admits a representative word starting with any generator, so
-    sigma_i^-1 Delta = F_i is a positive permutation braid; the result is
-    F_i followed by a Delta word, of length n(n-1) - 1.
-    """
-    delta = _delta_letters(n)
-    reversal = Permutation(tuple(range(n, 0, -1)))
-    table: dict[int, tuple[int, ...]] = {}
-    for i in range(1, n):
-        swap = list(range(1, n + 1))
-        swap[i - 1], swap[i] = swap[i], swap[i - 1]
-        quotient = Permutation(tuple(swap)) * reversal
-        table[i] = _reduced_word_for(quotient.images) + delta
-    return table
-
-
-def make_positive(w: BraidWord, t: int, *, certify: bool = True) -> BraidWord:
+def make_positive(w: BraidWord, t: int) -> BraidWord:
     """An all-positive word equal, as a braid, to w * Delta^(2t).
 
-    Each negative letter absorbs one central full twist; t must cover the
-    negative-letter count.  Output length is k - l + t*n*(n-1) for k
-    positive and l negative letters.  The result is certified equal to
-    the target by an order comparison unless certify is False.
+    Each negative letter sigma_i^-1 absorbs one central full twist: it is
+    written as the full twist that begins with sigma_i (_full_twist_from)
+    less that first letter, n(n-1) - 1 letters.  The remaining t - l full
+    twists are appended; t must cover the negative-letter count l.
+    Output length is k - l + t*n*(n-1) for k positive letters.  The
+    result is always certified equal to w * (Delta Delta)^t, a target
+    built from the Garside word, by an order comparison.
     """
     k, l, _ = exponent_counts(w)
     if t < l:
         raise ValueError(f"need t >= {l} (one full twist per negative letter), got {t}")
     n = w.strands
-    table = _positive_words_for_inverses(n)
     letters: list[int] = []
     for g in w.letters:
         if g > 0:
             letters.append(g)
         else:
-            letters.extend(table[-g])
-    letters.extend(_delta_letters(n) * (2 * (t - l)))
+            letters.extend(_full_twist_from(n, -g)[1:])
+    letters.extend(_full_twist_from(n, 1) * (t - l))
     result = BraidWord(n, tuple(letters))
     assert len(result) == k - l + t * n * (n - 1)
-    if certify:
-        from . import ordering  # deferred: ordering depends on this module
+    from . import ordering  # deferred: ordering depends on this module
 
-        target = w * garside_delta(n, squared=True) ** t
-        if ordering.compare(result, target) is not ordering.OrderSign.EQUAL:
-            raise RuntimeError("positive rewrite does not equal w * Delta^(2t)")
+    target = w * garside_delta(n, squared=True) ** t
+    if ordering.compare(result, target) is not ordering.OrderSign.EQUAL:
+        raise RuntimeError("positive rewrite does not equal w * Delta^(2t)")
     return result
 
 

@@ -258,18 +258,30 @@ def _cmd_family(args) -> int:
     return 0
 
 
+def _strict(value) -> bool:
+    """False for a string that int() and Fraction() read loosely: one with
+    non-ASCII digits, "_" separators or surrounding whitespace."""
+    return type(value) is not str or (
+        value.isascii() and "_" not in value and value == value.strip()
+    )
+
+
 def _fraction(key: str, value) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except ZeroDivisionError:
-        raise ValueError(f"{key} has a zero denominator: {value!r}") from None
-    except ValueError:
-        raise ValueError(f"{key} must be a rational number, got {json.dumps(value)}") from None
+    if _strict(value):
+        try:
+            return Fraction(str(value))
+        except ZeroDivisionError:
+            raise ValueError(f"{key} has a zero denominator: {value!r}") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be a rational number, got {json.dumps(value)}")
 
 
 def _integer(key: str, value) -> int:
     # int() alone would truncate 1.5 and true to 1, and raise TypeError on null or [1].
-    if type(value) in (str, int) or (type(value) is float and value.is_integer()):
+    if _strict(value) and (
+        type(value) in (str, int) or (type(value) is float and value.is_integer())
+    ):
         try:
             return int(value)
         except ValueError:
@@ -442,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="closure has finite concordance order",
     )
-    p.add_argument("--qp-length", dest="qp_length", type=int, default=None,
+    p.add_argument("--qp-length", dest="qp_length", default=None,
                    help="band count of a known quasipositive form")
     p.add_argument("--predicates", type=_predicate_list, default=None,
                    help=f"comma-separated subset of {','.join(PREDICATES)}")

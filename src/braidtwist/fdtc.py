@@ -77,7 +77,8 @@ u carrying its share.  So each compare reduces c B(k_1) ... B(k_Q) c^-1
 over the blocks B(k) = Delta^(-2k) u, with
 k_i = floor(i t / Q) - floor((i - 1) t / Q): the balanced (Christoffel)
 arrangement of slope t/Q, in which every k_i is floor(t/Q) or
-floor(t/Q) + 1.  The full twist is written (s_1 ... s_(n-1))^n: the
+floor(t/Q) + 1.  The full twist is written (s_1 ... s_(n-1))^n, the
+Coxeter power that braid._full_twist_from also gives make_positive: the
 compares of fdtc_exact on the fdtc_small_n words then take about a
 fifth fewer handle reductions than with the Garside word Delta Delta.
 Each block is handle-reduced the first time a word of the search asks
@@ -110,6 +111,7 @@ from . import dynnikov, ordering
 from .braid import (  # noqa: F401
     BraidWord,
     _conjugate_split,
+    _full_twist_from,
     detect_destabilizable,
     free_reduce,
     garside_delta,
@@ -148,7 +150,7 @@ class FdtcResult:
 @functools.lru_cache(maxsize=4)
 def _full_twists(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The letters of Delta^2 = (s_1 ... s_(n-1))^n and of Delta^-2 on n strands."""
-    twist = tuple(range(1, n)) * n
+    twist = _full_twist_from(n, 1)
     return twist, tuple(-g for g in reversed(twist))
 
 

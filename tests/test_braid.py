@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 
 from braidtwist import (
     BraidWord,
+    OrderSign,
     closure_components,
+    compare,
+    dynnikov,
     exponent_counts,
     format_word,
     free_reduce,
@@ -16,7 +19,7 @@ from braidtwist import (
     permutation,
     positive_braid_genus,
 )
-from braidtwist.braid import _conjugate_split, detect_destabilizable
+from braidtwist.braid import _conjugate_split, _full_twist_from, detect_destabilizable
 
 
 @st.composite
@@ -34,6 +37,11 @@ class TestParseFormat:
     def test_empty_is_identity(self):
         w = parse_word("", 4)
         assert w.letters == () and w.strands == 4
+
+    @pytest.mark.parametrize("text", ["\u0661 2", "1_0 -2", "s\u0661", "s1^-1_0", "s1_0"])
+    def test_loose_digits_are_malformed(self, text):
+        with pytest.raises(ValueError, match="malformed token"):
+            parse_word(text, 12)
 
     def test_out_of_range_generator(self):
         with pytest.raises(ValueError):
@@ -211,8 +219,38 @@ class TestMakePositive:
             letters = [rng.choice([g for g in range(-(n - 1), n) if g]) for _ in range(6)]
             w = BraidWord(n, letters)
             l = sum(1 for g in w.letters if g < 0)
-            out = make_positive(w, l + 1, certify=True)
+            out = make_positive(w, l + 1)
             assert all(g > 0 for g in out.letters)
+
+    @given(words(max_strands=6, max_len=8), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_output_is_positive_and_equals_the_target(self, w, extra):
+        k, l, _ = exponent_counts(w)
+        t = l + extra
+        n = w.strands
+        out = make_positive(w, t)
+        assert all(g > 0 for g in out.letters)
+        assert len(out) == k - l + t * n * (n - 1)
+        assert compare(out, w * garside_delta(n, squared=True) ** t) is OrderSign.EQUAL
+
+
+class TestFullTwistFrom:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_is_the_full_twist_beginning_with_each_generator(self, n):
+        twist = garside_delta(n, squared=True)
+        for i in range(1, n):
+            word = BraidWord(n, _full_twist_from(n, i))
+            assert word.letters[0] == i and len(word) == n * (n - 1)
+            assert compare(word, twist) is OrderSign.EQUAL
+            assert dynnikov.order_sign(word * twist.inverse()) is OrderSign.EQUAL
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_tail_is_an_inverse_generator_times_the_full_twist(self, n):
+        twist = garside_delta(n, squared=True)
+        for i in range(1, n):
+            tail = BraidWord(n, _full_twist_from(n, i)[1:])
+            assert all(g > 0 for g in tail.letters)
+            assert compare(tail, BraidWord(n, [-i]) * twist) is OrderSign.EQUAL
 
 
 class TestDetectDestabilizable:

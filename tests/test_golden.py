@@ -87,6 +87,9 @@ for _name, _line in {
     "expected_fdtc_zero_denominator": '{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/0"}}',
     "finite_concordance_order_string": '{"n": 3, "word": [1, -2], "meta": {"finite_concordance_order": "false"}}',
     "finite_concordance_order_number": '{"n": 3, "word": [1, -2], "meta": {"finite_concordance_order": 1}}',
+    "qp_length_underscore": '{"n": 3, "word": [1, 2], "meta": {"qp_length": "1_0"}}',
+    "expected_floor_padded": '{"n": 3, "word": [1, 2], "meta": {"expected_floor": " 0 "}}',
+    "g4_non_ascii_digit": '{"n": 3, "word": [1, 2], "meta": {"g4": "\\u0661"}}',
 }.items():
     _case(f"audit_{_name}", ["audit", "{corpus}"], _line + "\n" + _GOOD_LINE)
 
@@ -112,10 +115,19 @@ _case("bounds_qp_length_zero", ["bounds", "--strands", "3", KNOT, "--qp-length",
 _case("bounds_bad_g3", ["bounds", "--strands", "3", KNOT, "--g3", "abc"])
 _case("bounds_g3_zero_denominator", ["bounds", "--strands", "3", KNOT, "--g3", "1/0"])
 _case("bounds_negative_g4", ["bounds", "--strands", "3", "1 2", "--g4=-5"])
+# Numbers that int() and Fraction() would read loosely.
+_case("bounds_qp_length_underscore", ["bounds", "--strands", "3", KNOT, "--qp-length", "1_0"])
+_case("bounds_g3_padded", ["bounds", "--strands", "3", KNOT, "--g3", " 3 "])
+_case("bounds_g4_non_ascii_digit", ["bounds", "--strands", "3", KNOT, "--g4", "\u0661"])
 _case("bounds_link", ["bounds", "--strands", "3", "1 1"])
 _case("bounds_link_with_g3", ["bounds", "--strands", "3", "1 1", "--g3", "1"])
 _case("bounds_link_with_predicates", ["bounds", "--strands", "3", "1 1", "--predicates", ""])
 _case("bounds_destabilizable", ["bounds", "--strands", "3", "1 2 -1 2"])
+
+# Word tokens that int() and the regex digit class would read loosely.
+_case("sign_non_ascii_digit", ["sign", "--strands", "3", "\u0661 2"])
+_case("parse_underscore", ["parse", "--strands", "12", "1_0 -2"])
+_case("parse_alias_non_ascii_digit", ["parse", "--strands", "3", "s\u0661 s2"])
 
 # qp, with and without --check.
 _case("qp", ["qp", "--strands", "3", "2 | 1 | +; | 2 | +"])

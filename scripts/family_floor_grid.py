@@ -12,14 +12,15 @@ import argparse
 import os
 import sys
 
+from braidtwist.braid import integer
 from braidtwist.families import Ktd, generate
 from braidtwist.fdtc import dehornoy_floor
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-m", type=int, default=6)
-    parser.add_argument("--max-k", type=int, default=10)
+    parser.add_argument("--max-m", type=integer, default=6)
+    parser.add_argument("--max-k", type=integer, default=10)
     args = parser.parse_args()
 
     ks = range(1, args.max_k + 1)

@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from braidtwist import BraidWord
-from braidtwist.braid import free_reduce
+from braidtwist.braid import free_reduce, integer
 from braidtwist.fdtc import dehornoy_floor, fdtc_exact
 
 
@@ -54,8 +54,8 @@ def rationals_between(lo: Fraction, hi: Fraction, n: int) -> set[Fraction]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--words", type=int, default=600)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--words", type=integer, default=600)
+    parser.add_argument("--seed", type=integer, default=1)
     args = parser.parse_args()
 
     start = time.perf_counter()

@@ -14,13 +14,14 @@ import os
 import sys
 from fractions import Fraction
 
+from braidtwist.braid import integer
 from braidtwist.families import Ktd, generate
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-m", type=int, default=6)
-    parser.add_argument("--max-k", type=int, default=10)
+    parser.add_argument("--max-m", type=integer, default=6)
+    parser.add_argument("--max-k", type=integer, default=10)
     args = parser.parse_args()
 
     for m in range(args.max_m + 1):

@@ -13,6 +13,7 @@ import itertools
 import sys
 import time
 
+from braidtwist.braid import integer
 from braidtwist.murasugi import Class1, Class2, Class3, cross_check, fdtc_3braid, to_word
 
 
@@ -31,9 +32,9 @@ def enumerate_forms(max_d: int, max_a: int, max_m: int):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-d", type=int, default=2)
-    parser.add_argument("--max-a", type=int, default=3)
-    parser.add_argument("--max-m", type=int, default=6)
+    parser.add_argument("--max-d", type=integer, default=2)
+    parser.add_argument("--max-a", type=integer, default=3)
+    parser.add_argument("--max-m", type=integer, default=6)
     args = parser.parse_args()
 
     start = time.perf_counter()

@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from braidtwist import BraidWord
-from braidtwist.braid import free_reduce
+from braidtwist.braid import free_reduce, integer
 from braidtwist.fdtc import dehornoy_floor, fdtc_exact
 
 
@@ -39,8 +39,8 @@ def periodic_words(max_n: int, rng: random.Random):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--max-n", type=integer, default=7)
+    parser.add_argument("--seed", type=integer, default=1)
     args = parser.parse_args()
 
     start = time.perf_counter()

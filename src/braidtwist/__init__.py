@@ -2,7 +2,6 @@
 
 from .braid import (
     BraidWord,
-    Permutation,
     closure_components,
     detect_destabilizable,
     exponent_counts,
@@ -26,7 +25,6 @@ from .ordering import (
 __all__ = [
     "BraidWord",
     "OrderSign",
-    "Permutation",
     "ReductionCapError",
     "closure_components",
     "compare",

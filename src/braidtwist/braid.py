@@ -77,57 +77,37 @@ class BraidWord:
         return c * self * c.inverse()
 
 
-@dataclasses.dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n}; images[j-1] is the image of j."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.images, tuple):
-            object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"images {self.images} are not a bijection of 1..{n}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def __call__(self, j: int) -> int:
-        return self.images[j - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Diagram order: apply self first, then other."""
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * len(self.images)
-        for j, i in enumerate(self.images, start=1):
-            images[i - 1] = j
-        return Permutation(tuple(images))
-
-    def cycle_count(self) -> int:
-        seen = [False] * len(self.images)
-        cycles = 0
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-        return cycles
-
-
 _TOKEN = re.compile(r"^s(\d+)(?:\^(-?\d+))?$", re.ASCII)
-# The signed integers int() reads, less its "1_0" and non-ASCII digits.
-_INTEGER = re.compile(r"^[-+]?\d+$", re.ASCII)
 
 # Default budget of handle reductions for one ordering computation, and
-# the most letters parse_word expands a text into.
+# the most letters parse_word expands a text into or a family builds.
 DEFAULT_STEP_CAP = 10_000_000
+
+
+def _plain(text: str) -> bool:
+    """False for text that int() and Fraction() read loosely: text with
+    non-ASCII digits, "_" separators or surrounding whitespace."""
+    return text.isascii() and "_" not in text and text == text.strip()
+
+
+def integer(text: str) -> int:
+    """int(text) for text from outside: an optional sign and ASCII digits,
+    nothing else; ValueError otherwise.  Every integer the command line,
+    a word, a syllable, audit meta or BRAIDTWIST_STEP_CAP holds is read
+    here."""
+    if not _plain(text):
+        raise ValueError(f"invalid literal for integer: {text!r}")
+    return int(text)
+
+
+def _check_length(spec, length: int) -> None:
+    """ValueError if spec's word would have more than DEFAULT_STEP_CAP
+    letters; called before any letter is built."""
+    if length > DEFAULT_STEP_CAP:
+        raise ValueError(
+            f"the {type(spec).__name__} word would have {length} letters, "
+            f"more than {DEFAULT_STEP_CAP}"
+        )
 
 
 def parse_word(text: str, n: int) -> BraidWord:
@@ -147,8 +127,8 @@ def parse_word(text: str, n: int) -> BraidWord:
     for token in text.replace("−", "-").split():
         match = _TOKEN.match(token)
         if match:
-            index = int(match.group(1))
-            exponent = int(match.group(2)) if match.group(2) is not None else 1
+            index = integer(match.group(1))
+            exponent = integer(match.group(2)) if match.group(2) is not None else 1
             if exponent == 0:
                 raise ValueError(f"zero exponent in token {token!r}")
             letter = index if exponent > 0 else -index
@@ -162,9 +142,10 @@ def parse_word(text: str, n: int) -> BraidWord:
                 )
             letters.extend([letter] * abs(exponent))
             continue
-        if not _INTEGER.match(token):
-            raise ValueError(f"malformed token {token!r}")
-        letter = int(token)
+        try:
+            letter = integer(token)
+        except ValueError:
+            raise ValueError(f"malformed token {token!r}") from None
         if letter == 0:
             raise ValueError("zero is not a generator letter")
         letters.append(letter)
@@ -231,16 +212,17 @@ def exponent_counts(w: BraidWord) -> tuple[int, int, int]:
     return k, l, k - l
 
 
-def permutation(w: BraidWord) -> Permutation:
-    """Underlying permutation: starting position -> ending position.
+def permutation(w: BraidWord) -> tuple[int, ...]:
+    """Underlying permutation as its image tuple: entry j - 1 is the
+    ending position of the strand that starts at position j.
 
-    Multiplicative in diagram order: permutation(a * b) equals
-    permutation(a) * permutation(b).
+    Multiplicative in diagram order: the tuple of a * b is that of a
+    followed by that of b, (pb[i - 1] for i in pa).
     """
     return _permutation(w.letters, w.strands)
 
 
-def _permutation(letters, n: int) -> Permutation:
+def _permutation(letters, n: int) -> tuple[int, ...]:
     strand_at = list(range(n + 1))  # strand_at[p] = strand currently at position p
     for g in letters:
         i = g if g > 0 else -g
@@ -248,7 +230,7 @@ def _permutation(letters, n: int) -> Permutation:
     images = [0] * (n + 1)
     for p in range(1, n + 1):
         images[strand_at[p]] = p
-    return Permutation(tuple(images[1:]))
+    return tuple(images[1:])
 
 
 def closure_components(w: BraidWord) -> int:
@@ -259,7 +241,16 @@ def closure_components(w: BraidWord) -> int:
     the cost follows the word, not the strand count.
     """
     moved = max(map(abs, w.letters), default=1) + 1
-    return _permutation(w.letters, moved).cycle_count() + w.strands - moved
+    images = _permutation(w.letters, moved)
+    seen = [False] * (moved + 1)
+    cycles = 0
+    for j in images:
+        if not seen[j]:
+            cycles += 1
+            while not seen[j]:
+                seen[j] = True
+                j = images[j - 1]
+    return cycles + w.strands - moved
 
 
 def positive_braid_genus(w: BraidWord) -> Fraction:

@@ -22,9 +22,11 @@ from fractions import Fraction
 
 from .braid import (
     BraidWord,
+    _plain,
     closure_components,
     exponent_counts,
     format_word,
+    integer,
     parse_word,
 )
 from .fdtc import (
@@ -258,16 +260,8 @@ def _cmd_family(args) -> int:
     return 0
 
 
-def _strict(value) -> bool:
-    """False for a string that int() and Fraction() read loosely: one with
-    non-ASCII digits, "_" separators or surrounding whitespace."""
-    return type(value) is not str or (
-        value.isascii() and "_" not in value and value == value.strip()
-    )
-
-
 def _fraction(key: str, value) -> Fraction:
-    if _strict(value):
+    if type(value) is not str or _plain(value):
         try:
             return Fraction(str(value))
         except ZeroDivisionError:
@@ -279,11 +273,11 @@ def _fraction(key: str, value) -> Fraction:
 
 def _integer(key: str, value) -> int:
     # int() alone would truncate 1.5 and true to 1, and raise TypeError on null or [1].
-    if _strict(value) and (
-        type(value) in (str, int) or (type(value) is float and value.is_integer())
-    ):
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    if type(value) is str:
         try:
-            return int(value)
+            return integer(value)
         except ValueError:
             pass
     raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
@@ -410,10 +404,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--strands", type=int, required=True, help="number of strands")
+        p.add_argument("--strands", type=integer, required=True, help="number of strands")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument(
-            "--cap", type=int, default=None, help="handle reduction step cap"
+            "--cap", type=integer, default=None, help="handle reduction step cap"
         )
 
     p = sub.add_parser("parse", help="validate a word and echo its canonical text")
@@ -468,40 +462,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qp)
 
     p = sub.add_parser("murasugi", help="3-braid normal forms")
-    p.add_argument("--class", dest="cls", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--d", type=int, required=True, help="full twist exponent")
-    p.add_argument("--a", type=int, nargs="+", default=None, help="class 1 exponents")
-    p.add_argument("--m", type=int, default=None, help="class 2/3 exponent")
+    p.add_argument("--class", dest="cls", type=integer, choices=(1, 2, 3), required=True)
+    p.add_argument("--d", type=integer, required=True, help="full twist exponent")
+    p.add_argument("--a", type=integer, nargs="+", default=None, help="class 1 exponents")
+    p.add_argument("--m", type=integer, default=None, help="class 2/3 exponent")
     p.add_argument("--cross-check", dest="cross_check", action="store_true",
                    help="verify the closed form against the engine")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=integer, default=None)
     p.set_defaults(func=_cmd_murasugi)
 
     p = sub.add_parser("family", help="emit a word from a named family")
     fam = p.add_subparsers(dest="name", required=True)
 
     f = fam.add_parser("ktd", help="3-braid torus words with negative twist tails")
-    f.add_argument("m", type=int)
-    f.add_argument("k", type=int)
+    f.add_argument("m", type=integer)
+    f.add_argument("k", type=integer)
     f.add_argument("--json", action="store_true")
     f.set_defaults(func=_cmd_family)
 
     f = fam.add_parser("bttau", help="full twists against a negative tail")
-    f.add_argument("k", type=int)
+    f.add_argument("k", type=integer)
     f.add_argument("--json", action="store_true")
     f.set_defaults(func=_cmd_family)
 
     f = fam.add_parser("torus", help="(p,q) torus braids")
-    f.add_argument("p", type=int)
-    f.add_argument("q", type=int)
+    f.add_argument("p", type=integer)
+    f.add_argument("q", type=integer)
     f.add_argument("--json", action="store_true")
     f.set_defaults(func=_cmd_family)
 
     f = fam.add_parser("fulltwists", help="a base word times a power of the full twist")
-    f.add_argument("t", type=int)
+    f.add_argument("t", type=integer)
     f.add_argument("word")
-    f.add_argument("--strands", type=int, required=True,
+    f.add_argument("--strands", type=integer, required=True,
                    help="strand count for the base word")
     f.add_argument("--json", action="store_true")
     f.set_defaults(func=_cmd_family)
@@ -511,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="corpus file, or - for stdin (default)")
     p.add_argument("--predicates", type=_predicate_list, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=integer, default=None)
     p.set_defaults(func=_cmd_audit)
 
     return parser

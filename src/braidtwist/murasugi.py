@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import BraidWord, free_reduce, garside_delta
+from .braid import BraidWord, _check_length, free_reduce, garside_delta
 from .fdtc import fdtc_exact
 
 
@@ -63,19 +63,19 @@ Murasugi3Form = Class1 | Class2 | Class3
 
 
 def to_word(f: Murasugi3Form) -> BraidWord:
-    """The literal normal-form word, freely reduced."""
-    tail: list[int] = []
+    """The literal normal-form word, freely reduced; ValueError, before any
+    letter is built, if it would have more than DEFAULT_STEP_CAP letters."""
+    # The tail as (letter, repeat count) runs, so its length is known first.
     if isinstance(f, Class1):
-        for x in f.a:
-            tail.append(1)
-            tail.extend([-2] * x)
+        runs = [run for x in f.a for run in ((1, 1), (-2, x))]
     elif isinstance(f, Class2):
-        tail.extend([2 if f.m > 0 else -2] * abs(f.m))
+        runs = [(2 if f.m > 0 else -2, abs(f.m))]
     elif isinstance(f, Class3):
-        tail.extend([-1] * (-f.m))
-        tail.append(-2)
+        runs = [(-1, -f.m), (-2, 1)]
     else:
         raise ValueError(f"not a Murasugi normal form: {f!r}")
+    _check_length(f, 6 * abs(f.d) + sum(count for _, count in runs))
+    tail = [g for g, count in runs for _ in range(count)]
     return free_reduce(garside_delta(3, squared=True) ** f.d * BraidWord(3, tail))
 
 

@@ -50,6 +50,7 @@ from .braid import (
     _free_reduce_letters,
     _permutation,
     exponent_counts,
+    integer,
 )
 
 
@@ -86,7 +87,7 @@ def _effective_cap(cap: int | None) -> int:
     if text is None:
         return DEFAULT_STEP_CAP
     try:
-        cap = int(text)
+        cap = integer(text)
     except ValueError:
         cap = -1
     if cap < 0:

@@ -21,6 +21,7 @@ from .braid import (
     detect_destabilizable,
     format_word,
     free_reduce,
+    integer,
     parse_word,
 )
 from .fdtc import fdtc_exact
@@ -160,7 +161,7 @@ def parse_syllables(text: str, strands: int) -> SyllableWord:
             conj = parse_word(fields[0], strands).letters
             generator_text = fields[1].strip()
             try:
-                generator = int(generator_text)
+                generator = integer(generator_text)
             except ValueError:
                 raise ValueError(
                     f"generator must be an integer, got {generator_text!r}"

@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidtwist import (
@@ -19,7 +20,12 @@ from braidtwist import (
     permutation,
     positive_braid_genus,
 )
-from braidtwist.braid import _conjugate_split, _full_twist_from, detect_destabilizable
+from braidtwist.braid import (
+    _conjugate_split,
+    _full_twist_from,
+    detect_destabilizable,
+    integer,
+)
 
 
 @st.composite
@@ -42,6 +48,23 @@ class TestParseFormat:
     def test_loose_digits_are_malformed(self, text):
         with pytest.raises(ValueError, match="malformed token"):
             parse_word(text, 12)
+
+    @given(st.text() | st.text(st.sampled_from("+-0123456789_ \n\u0661\u0663\uff15x")))
+    @example("1_0")
+    @example(" 1")
+    @example("\u0661")
+    @example("+\u0663")
+    @example("")
+    @example("0x1")
+    @example("-007")
+    @example("5\n")
+    @settings(max_examples=300, deadline=None)
+    def test_integer_reads_only_a_sign_and_ascii_digits(self, text):
+        if re.fullmatch(r"[-+]?[0-9]+", text):
+            assert integer(text) == int(text)
+        else:
+            with pytest.raises(ValueError):
+                integer(text)
 
     def test_out_of_range_generator(self):
         with pytest.raises(ValueError):
@@ -170,7 +193,16 @@ class TestClosureComponents:
     @given(words())
     @settings(max_examples=60, deadline=None)
     def test_matches_the_cycles_of_the_permutation(self, w):
-        assert closure_components(w) == permutation(w).cycle_count()
+        images = permutation(w)
+        cycles, seen = 0, set()
+        for start in range(1, w.strands + 1):
+            if start not in seen:
+                cycles += 1
+                j = start
+                while j not in seen:
+                    seen.add(j)
+                    j = images[j - 1]
+        assert closure_components(w) == cycles
 
 
 class TestPositiveBraidGenus:
@@ -279,4 +311,5 @@ def test_conjugate_split(core, c):
 def test_permutation_is_a_homomorphism(a, b):
     if a.strands != b.strands:
         b = BraidWord(a.strands, [g for g in b.letters if abs(g) < a.strands])
-    assert permutation(a * b) == permutation(a) * permutation(b)
+    pa, pb = permutation(a), permutation(b)
+    assert permutation(a * b) == tuple(pb[i - 1] for i in pa)

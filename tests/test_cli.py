@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,12 +8,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import braidtwist.cli as cli
 import braidtwist.quasipositive as quasipositive
 from braidtwist import BraidWord
+from braidtwist.braid import integer
 from braidtwist.cli import run
 
 
@@ -371,6 +374,50 @@ class TestTextFuzz:
         code, err = self.run_quietly(["sign", "--strands", "3", "s1^1000000000000"])
         assert code == 1
         assert "s1^1000000000000" in err
+
+
+# Each integer argument of the command line, its value written "{}".  The
+# --strands and --cap of add_common are one argument each, shared by
+# seven commands.
+INTEGER_ARGUMENTS = {
+    "strands": ["sign", "--strands", "{}", "1"],
+    "cap": ["sign", "--strands", "3", "--cap", "{}", "1"],
+    "murasugi_class": ["murasugi", "--class", "{}", "--d", "0", "--m", "1"],
+    "murasugi_d": ["murasugi", "--class", "2", "--d", "{}", "--m", "1"],
+    "murasugi_a": ["murasugi", "--class", "1", "--d", "0", "--a", "1", "{}"],
+    "murasugi_m": ["murasugi", "--class", "2", "--d", "0", "--m", "{}"],
+    "murasugi_cap": ["murasugi", "--class", "2", "--d", "0", "--m", "1", "--cap", "{}"],
+    "ktd_m": ["family", "ktd", "{}", "1"],
+    "ktd_k": ["family", "ktd", "1", "{}"],
+    "bttau_k": ["family", "bttau", "{}"],
+    "torus_p": ["family", "torus", "{}", "2"],
+    "torus_q": ["family", "torus", "2", "{}"],
+    "fulltwists_t": ["family", "fulltwists", "{}", "1", "--strands", "3"],
+    "fulltwists_strands": ["family", "fulltwists", "1", "1", "--strands", "{}"],
+    "audit_cap": ["audit", "--cap", "{}", "-"],
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    @pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+    def test_loose_integer_is_a_usage_error(self, capsys, name, value):
+        argv = [arg.replace("{}", value) for arg in INTEGER_ARGUMENTS[name]]
+        assert run(argv) == 2
+        assert f"invalid integer value: '{value}'" in capsys.readouterr().err
+
+    def test_every_integer_argument_uses_the_reader(self):
+        """No argument is read with int(), and the ones read with integer()
+        have the destinations of INTEGER_ARGUMENTS."""
+        parsers, integers = [cli._build_parser()], set()
+        while parsers:
+            for action in parsers.pop()._actions:
+                assert action.type is not int
+                if action.type is integer:
+                    integers.add(action.dest)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert integers == {"strands", "cap", "cls", "d", "a", "m", "k", "p", "q", "t"}
 
 
 class TestExitCodes:

@@ -1,7 +1,10 @@
 import pytest
 
+import braidtwist.braid as braid
 from braidtwist import BraidWord, closure_components, exponent_counts, garside_delta
 from braidtwist.families import BTtau, FullTwists, Ktd, Torus, generate
+
+HUGE = 10**18
 
 
 class TestKtd:
@@ -66,4 +69,38 @@ class TestFullTwists:
 
     def test_zero_twists(self):
         base = BraidWord(4, [1, 3])
+        assert generate(FullTwists(base, 0)) == base
+
+
+class TestLetterBudget:
+    """generate() works out a word's length first and refuses, with a
+    ValueError, one longer than DEFAULT_STEP_CAP letters."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Ktd(2, 3), BTtau(2), Torus(4, 3), FullTwists(BraidWord(3, [1, -2]), 2),
+         FullTwists(BraidWord(4, [3]), -1), FullTwists(BraidWord(3, [1]), 0)],
+        ids=repr,
+    )
+    def test_the_budget_counts_every_letter(self, monkeypatch, spec):
+        length = len(generate(spec))
+        monkeypatch.setattr(braid, "DEFAULT_STEP_CAP", length)
+        assert len(generate(spec)) == length
+        monkeypatch.setattr(braid, "DEFAULT_STEP_CAP", length - 1)
+        with pytest.raises(ValueError, match=f"would have {length} letters"):
+            generate(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Torus(2, HUGE), Torus(HUGE, 1), Ktd(HUGE, 1), Ktd(0, HUGE), BTtau(HUGE),
+         FullTwists(BraidWord(3, [1]), HUGE), FullTwists(BraidWord(3, [1]), -HUGE),
+         FullTwists(BraidWord(HUGE, [1]), 1)],
+        ids=repr,
+    )
+    def test_oversized_word_is_refused_before_it_is_built(self, spec):
+        with pytest.raises(ValueError, match="more than 10000000"):
+            generate(spec)
+
+    def test_zero_twists_build_no_twist(self):
+        base = BraidWord(HUGE, [1])
         assert generate(FullTwists(base, 0)) == base

@@ -2,7 +2,8 @@
 
 The cases are every README example, `scripts/ktd_corpus.py | braidtwist
 audit`, an audit file that covers every meta key and value type, the
-`bounds` flags and the `qp` report, each in text and `--json` form.
+`bounds` flags, the `qp` report and rejected integer text, each in text
+and `--json` form.
 The expected exit codes, stdout and stderr are in tests/golden/outputs.json.
 After an intended output change, rewrite that file with
 
@@ -21,6 +22,7 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -129,6 +131,17 @@ _case("sign_non_ascii_digit", ["sign", "--strands", "3", "\u0661 2"])
 _case("parse_underscore", ["parse", "--strands", "12", "1_0 -2"])
 _case("parse_alias_non_ascii_digit", ["parse", "--strands", "3", "s\u0661 s2"])
 
+# Integer text that int() would read loosely: a usage error for an option
+# or positional, an input error for a syllable's generator field.
+_case("sign_strands_underscore", ["sign", "--strands", "1_0", "1 2"])
+_case("sign_cap_padded", ["sign", "--strands", "3", "--cap", " 5", "1 2"])
+_case("murasugi_class_non_ascii_digit",
+      ["murasugi", "--class", "\u0661", "--d", "\u0660", "--a", "1", "2"])
+_case("family_torus_non_ascii_digit", ["family", "torus", "\u0663", "2"])
+_case("qp_non_ascii_generator", ["qp", "--strands", "3", " | \u0661 | +"])
+# A family word past the letter budget, refused before it is built.
+_case("family_torus_oversized", ["family", "torus", "2", "1000000000000000000"])
+
 # qp, with and without --check.
 _case("qp", ["qp", "--strands", "3", "2 | 1 | +; | 2 | +"])
 _case("qp_mixed", ["qp", "--strands", "3", " | 1 | +; 1 | 2 | +; | 2 | -"])
@@ -149,7 +162,9 @@ def run_case(argv: list[str], corpus: str | None, workdir: Path) -> dict:
         sys.stdin = io.StringIO(corpus)
     out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # A usage error's text is wrapped to the terminal width; pin it.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             code = run(argv)
     finally:
         sys.stdin = stdin

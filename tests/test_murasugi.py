@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import braidtwist.braid as braid
 from braidtwist.murasugi import (
     Class1,
     Class2,
@@ -27,6 +28,32 @@ class TestToWord:
     def test_class1_multiple_blocks(self):
         w = to_word(Class1(0, (1, 2)))
         assert w.letters == (1, -2, 1, -2, -2)
+
+
+class TestLetterBudget:
+    """to_word() works out the length of the unreduced word first and
+    refuses, with a ValueError, one longer than DEFAULT_STEP_CAP letters."""
+
+    @pytest.mark.parametrize(
+        "form", [Class1(1, (2, 0, 1)), Class2(2, 3), Class2(0, -2), Class3(0, -3)], ids=repr
+    )
+    def test_the_budget_counts_every_letter(self, monkeypatch, form):
+        length = len(to_word(form))
+        monkeypatch.setattr(braid, "DEFAULT_STEP_CAP", length)
+        assert len(to_word(form)) == length
+        monkeypatch.setattr(braid, "DEFAULT_STEP_CAP", length - 1)
+        with pytest.raises(ValueError, match=f"would have {length} letters"):
+            to_word(form)
+
+    @pytest.mark.parametrize(
+        "form",
+        [Class2(10**18, 1), Class2(-(10**18), 1), Class2(0, 10**18), Class2(0, -(10**18)),
+         Class1(0, (1, 10**18)), Class3(10**18, -1)],
+        ids=repr,
+    )
+    def test_oversized_word_is_refused_before_it_is_built(self, form):
+        with pytest.raises(ValueError, match="more than 10000000"):
+            to_word(form)
 
 
 class TestValidation:

@@ -244,7 +244,7 @@ class TestStepCap:
         out = handle_reduce(w, cap=DEFAULT_STEP_CAP)
         assert syntactic_sigma_class(out) is not None or len(out) == 0
 
-    @pytest.mark.parametrize("value", ["-5", "1.5", "x"])
+    @pytest.mark.parametrize("value", ["-5", "1.5", "x", "1_0", " 5 ", "\u0665"])
     def test_invalid_env_value(self, monkeypatch, value):
         """A bad BRAIDTWIST_STEP_CAP is named in one ValueError before any
         search work, whether or not the word needs a sweep."""

@@ -100,13 +100,12 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _check_length(spec, length: int) -> None:
-    """ValueError if spec's word would have more than DEFAULT_STEP_CAP
+def _check_length(word: str, length: int) -> None:
+    """ValueError if the word named would have more than DEFAULT_STEP_CAP
     letters; called before any letter is built."""
     if length > DEFAULT_STEP_CAP:
         raise ValueError(
-            f"the {type(spec).__name__} word would have {length} letters, "
-            f"more than {DEFAULT_STEP_CAP}"
+            f"{word} would have {length} letters, more than {DEFAULT_STEP_CAP}"
         )
 
 
@@ -197,10 +196,13 @@ def garside_delta(n: int, *, squared: bool = False) -> BraidWord:
     """The half twist Delta on n strands, or the full twist Delta^2.
 
     Delta = (s1..s_{n-1})(s1..s_{n-2})...(s1) has length n(n-1)/2; the
-    full twist is central and has length n(n-1).
+    full twist is central and has length n(n-1).  ValueError, before any
+    letter is built, if that is more than DEFAULT_STEP_CAP.
     """
     if n < 2:
         raise ValueError(f"need at least 2 strands, got {n}")
+    name, length = ("Delta^2", n * (n - 1)) if squared else ("Delta", n * (n - 1) // 2)
+    _check_length(f"{name} on {n} strands", length)
     letters = _delta_letters(n)
     return BraidWord._unchecked(n, letters + letters if squared else letters)
 
@@ -274,7 +276,10 @@ def _full_twist_from(n: int, i: int) -> tuple[int, ...]:
     rotation, hence a conjugate, of s_1 ... s_(n-1), whose n-th power is
     the central Delta^2; so the word is Delta^2 itself, and dropping its
     first letter leaves a positive word for sigma_i^-1 Delta^2.
+    ValueError, before any letter is built, if its n(n-1) letters are more
+    than DEFAULT_STEP_CAP.
     """
+    _check_length(f"Delta^2 on {n} strands", n * (n - 1))
     return (tuple(range(i, n)) + tuple(range(1, i))) * n
 
 
@@ -285,7 +290,8 @@ def make_positive(w: BraidWord, t: int) -> BraidWord:
     written as the full twist that begins with sigma_i (_full_twist_from)
     less that first letter, n(n-1) - 1 letters.  The remaining t - l full
     twists are appended; t must cover the negative-letter count l.
-    Output length is k - l + t*n*(n-1) for k positive letters.  The
+    Output length is k - l + t*n*(n-1) for k positive letters; ValueError,
+    before any letter is built, if that is more than DEFAULT_STEP_CAP.  The
     result is always certified equal to w * (Delta Delta)^t, a target
     built from the Garside word, by an order comparison.
     """
@@ -293,6 +299,8 @@ def make_positive(w: BraidWord, t: int) -> BraidWord:
     if t < l:
         raise ValueError(f"need t >= {l} (one full twist per negative letter), got {t}")
     n = w.strands
+    length = k - l + t * n * (n - 1)
+    _check_length(f"the positive word for w * Delta^{2 * t} on {n} strands", length)
     letters: list[int] = []
     for g in w.letters:
         if g > 0:
@@ -301,7 +309,7 @@ def make_positive(w: BraidWord, t: int) -> BraidWord:
             letters.extend(_full_twist_from(n, -g)[1:])
     letters.extend(_full_twist_from(n, 1) * (t - l))
     result = BraidWord(n, tuple(letters))
-    assert len(result) == k - l + t * n * (n - 1)
+    assert len(result) == length
     from . import ordering  # deferred: ordering depends on this module
 
     target = w * garside_delta(n, squared=True) ** t

@@ -60,20 +60,21 @@ FamilySpec = Ktd | BTtau | FullTwists | Torus
 def generate(spec: FamilySpec) -> BraidWord:
     """The literal word for a family member; ValueError, before any letter
     is built, if it would have more than DEFAULT_STEP_CAP letters."""
+    name = f"the {type(spec).__name__} word"
     if isinstance(spec, Ktd):
-        _check_length(spec, 6 * spec.m + 2 + 2 * spec.k)
+        _check_length(name, 6 * spec.m + 2 + 2 * spec.k)
         w = BraidWord(3, [2, 1] * (3 * spec.m + 1) + [-2] * (2 * spec.k))
         assert closure_components(w) == 1, "Ktd closure must be a knot"
         return w
     if isinstance(spec, BTtau):
-        _check_length(spec, 12 * spec.k)
+        _check_length(name, 12 * spec.k)
         tail = BraidWord(3, [-1] + [-2] * (6 * spec.k - 1))
         return garside_delta(3, squared=True) ** spec.k * tail
     if isinstance(spec, FullTwists):
         n, t = spec.base.strands, spec.t
-        _check_length(spec, len(spec.base) + abs(t) * n * (n - 1))
+        _check_length(name, len(spec.base) + abs(t) * n * (n - 1))
         return spec.base * garside_delta(n, squared=True) ** t if t else spec.base
     if isinstance(spec, Torus):
-        _check_length(spec, (spec.p - 1) * spec.q)
+        _check_length(name, (spec.p - 1) * spec.q)
         return BraidWord(spec.p, list(range(1, spec.p)) * spec.q)
     raise ValueError(f"not a family spec: {spec!r}")

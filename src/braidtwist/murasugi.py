@@ -74,9 +74,9 @@ def to_word(f: Murasugi3Form) -> BraidWord:
         runs = [(-1, -f.m), (-2, 1)]
     else:
         raise ValueError(f"not a Murasugi normal form: {f!r}")
-    _check_length(f, 6 * abs(f.d) + sum(count for _, count in runs))
-    tail = [g for g, count in runs for _ in range(count)]
-    return free_reduce(garside_delta(3, squared=True) ** f.d * BraidWord(3, tail))
+    _check_length(f"the {type(f).__name__} word", 6 * abs(f.d) + sum(c for _, c in runs))
+    word = BraidWord(3, [g for g, count in runs for _ in range(count)])
+    return free_reduce(garside_delta(3, squared=True) ** f.d * word if f.d else word)
 
 
 def fdtc_3braid(f: Murasugi3Form) -> Fraction:

@@ -20,11 +20,11 @@ possible handle openers, in increasing index order.  Reading a letter
 of index i pops every entry of larger index, then either closes a
 handle against an opposite-sign index-i top, supersedes a same-sign
 one, or pushes fresh.  The stack is persistent: immutable cons cells
-(node, index, below, before), never changed once built, where before
-is the whole stack as it was just before the node was read.  Closing a
-handle at opener o restores o's before in O(1), with nothing copied or
-recorded per letter, so after a splice the scan resumes just left of
-the replacement with the exact stack for that prefix.  One sweep
+(position, index, below, before), never changed once built, where
+before is the whole stack as it was just before that letter was read.
+Closing a handle at opener o restores o's before in O(1), with nothing
+copied or recorded per letter, so after a splice the scan resumes just
+left of the replacement with the exact stack for that prefix.  One sweep
 therefore ends with no handle anywhere, and a handle-free nonempty word
 is sigma-definite: both signs at the lowest index would put an
 adjacent opposite pair of that index around an interior of strictly
@@ -32,11 +32,11 @@ larger index, which is a handle.  So a reduction sweeps at most once:
 not at all if the freely reduced word is already empty or
 sigma-definite, and a swept word that is neither raises RuntimeError.
 
-Words live in a doubly-linked list held as flat integer arrays, so a
-splice is local: a reduction rewrites the interior's sigma_(i+1) letters
-in place, links one new node on each side of each of them and unlinks
-the two outer letters (zeroed, never reused within a sweep), so memory
-follows the letters actually inserted.
+A sweep holds two plain lists: the letters read, and those still to
+read, reversed so that the next is last.  A handle closing against the
+opener at position o cuts the first list back to o and pushes its
+rewritten interior onto the second; no stack entry below o moves.  So
+a splice costs O(interior) and a sweep holds only the current letters.
 """
 
 from __future__ import annotations
@@ -113,103 +113,53 @@ def syntactic_sigma_class(w: BraidWord) -> tuple[int, int] | None:
     return _sigma_class(w.letters)
 
 
-_HEAD, _TAIL = 0, 1
-
-
 def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int, int]:
-    """One exact sweep, reducing every handle as it closes.
-
-    Returns (new letters, number of reductions, updated step count).
-    """
-    count = len(letters)
-    let = [0, 0]
-    let.extend(letters)
-    size = count + 2
-    nxt = [0] * size
-    prv = [0] * size
-    previous = _HEAD
-    for node in range(2, size):
-        nxt[previous] = node
-        prv[node] = previous
-        previous = node
-    nxt[previous] = _TAIL
-    prv[_TAIL] = previous
-
-    # Stack cells are (node, index, below, before): before is the stack as
-    # it was just before the node was read.  Index 0 at the bottom stops
-    # every pop loop.
-    stack = (_HEAD, 0, None, None)
+    """One exact sweep, reducing every handle as it closes; returns (new
+    letters, number of reductions, updated step count)."""
+    done: list[int] = []  # the letters read so far
+    todo = letters[::-1]  # the letters still to read, the next one last
+    # Stack cells are (position in done, index, below, before): before is
+    # the stack as it was just before the letter was read.  Index 0 at the
+    # bottom stops every pop loop.
+    stack = (-1, 0, None, None)
     reductions = 0
-    cur = nxt[_HEAD]
-    while cur != _TAIL:
-        g = let[cur]
+    while todo:
+        g = todo.pop()
         i = g if g > 0 else -g
         top = stack
         while top[1] > i:
             top = top[2]
         o = top[0]  # the index-i stack entry left on top, if top[1] == i
-        if top[1] == i and let[o] == -g:
+        if top[1] == i and done[o] == -g:
             # A handle closes here.  Everything popped above sits inside
             # it and is read again once the interior is rewritten.
             steps += 1
             if steps > cap:
-                raise ReductionCapError(
-                    f"handle reduction exceeded the {cap}-step cap"
-                )
+                raise ReductionCapError(f"handle reduction exceeded the {cap}-step cap")
             reductions += 1
-            # Rewrite the interior in place: each sigma_(i+1)^d becomes
-            # sigma_i^d with one new node on each side, letters of index
-            # > i+1 stay, and the opener and the closer are unlinked.
+            # Push the interior back to be read, rewritten: each
+            # sigma_(i+1)^d becomes sigma_(i+1)^-e sigma_i^d sigma_(i+1)^e,
+            # letters of index > i+1 stay, and the opener and the closer go.
             ip1 = i + 1
             left, right = (ip1, -ip1) if g > 0 else (-ip1, ip1)
-            y = nxt[o]
-            while y != cur:
-                h = let[y]
+            for h in done[:o:-1]:
                 hi = h if h > 0 else -h
-                after = nxt[y]
                 if hi == ip1:
-                    let[y] = i if h > 0 else -i
-                    before = prv[y]
-                    idx = len(let)
-                    let.append(left)
-                    let.append(right)
-                    nxt.append(y)
-                    nxt.append(after)
-                    prv.append(before)
-                    prv.append(y)
-                    nxt[before] = idx
-                    prv[y] = idx
-                    nxt[y] = idx + 1
-                    prv[after] = idx + 1
-                elif hi <= i:
+                    todo += (right, i if h > 0 else -i, left)
+                elif hi > i:
+                    todo.append(h)
+                else:
                     raise RuntimeError(
                         "handle interior holds an index <= that of the handle (engine bug)"
                     )
-                y = after
-            b = prv[o]
-            first = nxt[o]
-            nxt[b] = first
-            prv[first] = b
-            last = prv[cur]
-            after = nxt[cur]
-            nxt[last] = after
-            prv[after] = last
-            let[o] = 0
-            let[cur] = 0
+            del done[o:]
             stack = top[3]  # the stack exactly as before the opener was read
-            cur = nxt[b]
         else:
             if top[1] == i:  # same sign: supersede the old index-i entry
                 top = top[2]
-            stack = (cur, i, top, stack)
-            cur = nxt[cur]
-
-    out: list[int] = []
-    y = nxt[_HEAD]
-    while y != _TAIL:
-        out.append(let[y])
-        y = nxt[y]
-    return out, reductions, steps
+            stack = (len(done), i, top, stack)
+            done.append(g)
+    return done, reductions, steps
 
 
 def _reduce_core(letters, cap: int) -> list[int]:

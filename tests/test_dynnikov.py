@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidtwist import BraidWord, OrderSign, garside_delta, order_sign
+from braidtwist import BraidWord, OrderSign, garside_delta, handle_reduce, order_sign
 from braidtwist import dynnikov
 from braidtwist.families import Ktd, generate
 
@@ -46,6 +46,16 @@ class TestAgainstHandleReduction:
     @settings(max_examples=300, deadline=None)
     def test_same_sign(self, w):
         agree(w)
+
+    @given(sample_words())
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_keeps_the_coordinates(self, w):
+        """The action is faithful, so equal coordinates prove that
+        handle_reduce returned a word for the braid of w."""
+        reduced = handle_reduce(w)
+        assert dynnikov.act(dynnikov.start(w.strands), reduced.letters) == dynnikov.act(
+            dynnikov.start(w.strands), w.letters
+        )
 
     def test_floor_grid_probes(self):
         """Every Ktd(m, k) word of the criterion 1 grid against Delta^(2t), t near m."""

@@ -269,6 +269,15 @@ class TestStepBudget:
             compare(free_reduce(w**8), delta2**9, cap=self.CAP)
 
 
+class TestLetterBudget:
+    """The full twist on 10^18 strands is refused before it is built."""
+
+    @pytest.mark.parametrize("compute", [dehornoy_floor, fdtc_exact], ids=("floor", "fdtc"))
+    def test_oversized_strand_count_is_refused(self, compute):
+        with pytest.raises(ValueError, match="on 1000000000000000000 strands"):
+            compute(BraidWord(10**18, [1]))
+
+
 class TestDehornoyFloor:
     def test_single_generator(self):
         assert dehornoy_floor(BraidWord(3, [1])).floor == 0

@@ -141,6 +141,9 @@ _case("family_torus_non_ascii_digit", ["family", "torus", "\u0663", "2"])
 _case("qp_non_ascii_generator", ["qp", "--strands", "3", " | \u0661 | +"])
 # A family word past the letter budget, refused before it is built.
 _case("family_torus_oversized", ["family", "torus", "2", "1000000000000000000"])
+# A full twist past the letter budget, refused before it is built.
+_case("floor_strands_oversized", ["floor", "--strands", "1000000000000000000", "1"])
+_case("fdtc_strands_oversized", ["fdtc", "--strands", "1000000000000000000", "1"])
 
 # qp, with and without --check.
 _case("qp", ["qp", "--strands", "3", "2 | 1 | +; | 2 | +"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidtwist.dynnikov as dynnikov
 import braidtwist.fdtc as fdtc
 import braidtwist.ordering as ordering
 from braidtwist import (
@@ -154,6 +155,18 @@ class TestSweep:
             records.append((tuple(out), reductions, steps))
         assert sum(r for _, r, _ in records) == 2301
         assert hashlib.sha256(repr(records).encode()).hexdigest() == self.DIGEST
+
+    def test_sweep_and_reduction_keep_the_braid(self):
+        """One sweep of each word, and handle_reduce of it, give the
+        Dynnikov coordinates of the input: the action is faithful, so both
+        outputs are words for the input braid."""
+        for letters in self.sweep_words():
+            n = max(map(abs, letters), default=1) + 1
+            coordinates = dynnikov.act(dynnikov.start(n), letters)
+            swept = ordering._scan_once(letters, DEFAULT_STEP_CAP, 0)[0]
+            reduced = handle_reduce(BraidWord(n, letters)).letters
+            for out in (swept, reduced):
+                assert dynnikov.act(dynnikov.start(n), out) == coordinates
 
 
 class TestOrderSign:

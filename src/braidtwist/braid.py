@@ -13,7 +13,6 @@ of trusting the rewrite.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import re
 from fractions import Fraction
 
@@ -184,14 +183,6 @@ def _conjugate_split(letters) -> tuple[list[int], list[int]]:
     return letters[:k], letters[k : len(letters) - k]
 
 
-@functools.cache
-def _delta_letters(n: int) -> tuple[int, ...]:
-    letters: list[int] = []
-    for top in range(n - 1, 0, -1):
-        letters.extend(range(1, top + 1))
-    return tuple(letters)
-
-
 def garside_delta(n: int, *, squared: bool = False) -> BraidWord:
     """The half twist Delta on n strands, or the full twist Delta^2.
 
@@ -203,7 +194,7 @@ def garside_delta(n: int, *, squared: bool = False) -> BraidWord:
         raise ValueError(f"need at least 2 strands, got {n}")
     name, length = ("Delta^2", n * (n - 1)) if squared else ("Delta", n * (n - 1) // 2)
     _check_length(f"{name} on {n} strands", length)
-    letters = _delta_letters(n)
+    letters = tuple(g for top in range(n - 1, 0, -1) for g in range(1, top + 1))
     return BraidWord._unchecked(n, letters + letters if squared else letters)
 
 
@@ -268,7 +259,6 @@ def positive_braid_genus(w: BraidWord) -> Fraction:
     return Fraction(len(w.letters) - w.strands + 1, 2)
 
 
-@functools.lru_cache(maxsize=64)
 def _full_twist_from(n: int, i: int) -> tuple[int, ...]:
     """The letters of Delta^2 on n strands, beginning with sigma_i.
 

@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 domain error (bad word, bad parameters, cap
 exceeded, audit entries that failed to process), 2 usage error.  A
 reader that closes stdout early, as `| head` does, ends a command
 quietly with exit code 0.
-Machine-facing output uses one JSON object per result; `audit` emits
-JSON-lines, one record per corpus entry, in input order.  Rationals are
-serialized as exact fraction strings ("2/3", "-1/2", "3") and round-trip
-through Fraction().
+Every result is printed by one function, `_emit`: each command builds
+its report once, and its text from the same values.  Under --json the
+report is printed as one JSON object per result; `audit` emits
+JSON-lines, one record per corpus entry, in input order, then a
+summary.  Rationals are serialized as exact fraction strings ("2/3",
+"-1/2", "3") and round-trip through Fraction().
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import os
 import sys
@@ -57,127 +60,94 @@ def _fraction_text(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, default=_fraction_text))
+def _emit(args, report: dict, text: str) -> None:
+    """Print one result: the report as a JSON object under --json, else the text."""
+    print(json.dumps(report, default=_fraction_text) if args.json else text)
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> None:
     w = parse_word(args.word, args.strands)
-    if args.json:
-        k, l, e = exponent_counts(w)
-        _print_json(
-            {
-                "strands": w.strands,
-                "letters": list(w.letters),
-                "text": format_word(w),
-                "length": len(w),
-                "exponent_sum": e,
-                "closure_components": closure_components(w),
-            }
-        )
-    else:
-        print(format_word(w))
-    return 0
+    text = format_word(w)
+    report = {
+        "strands": w.strands,
+        "letters": list(w.letters),
+        "text": text,
+        "length": len(w),
+        "exponent_sum": exponent_counts(w)[2],
+        "closure_components": closure_components(w),
+    }
+    _emit(args, report, text)
 
 
-def _cmd_sign(args) -> int:
-    w = parse_word(args.word, args.strands)
-    result = order_sign(w, cap=args.cap)
-    if args.json:
-        _print_json({"sign": result.value})
-    else:
-        print(result.value)
-    return 0
+def _cmd_sign(args) -> None:
+    sign = order_sign(parse_word(args.word, args.strands), cap=args.cap).value
+    _emit(args, {"sign": sign}, sign)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     a = parse_word(args.left, args.strands)
     b = parse_word(args.right, args.strands)
-    result = compare(a, b, cap=args.cap)
-    if args.json:
-        _print_json({"comparison": result.value})
-    else:
-        print(result.value)
-    return 0
+    comparison = compare(a, b, cap=args.cap).value
+    _emit(args, {"comparison": comparison}, comparison)
 
 
-def _cmd_floor(args) -> int:
-    w = parse_word(args.word, args.strands)
-    result = dehornoy_floor(w, cap=args.cap)
-    if args.json:
-        _print_json({"floor": result.floor, "convention": result.convention})
-    else:
-        print(result.floor)
-    return 0
+def _cmd_floor(args) -> None:
+    r = dehornoy_floor(parse_word(args.word, args.strands), cap=args.cap)
+    _emit(args, {"floor": r.floor, "convention": r.convention}, str(r.floor))
 
 
-def _cmd_fdtc(args) -> int:
-    w = parse_word(args.word, args.strands)
-    r = fdtc_exact(w, cap=args.cap)
+def _cmd_fdtc(args) -> None:
+    r = fdtc_exact(parse_word(args.word, args.strands), cap=args.cap)
     certificate = {
         "N": r.power_used,
         "floor": r.floor_of_power,
         "lo": str(r.interval[0]),
         "hi": str(r.interval[1]),
     }
-    if args.json:
-        _print_json({"value": str(r.value), "certificate": certificate})
-    else:
-        print(r.value)
-        print(f"certificate {json.dumps(certificate)}")
-    return 0
+    _emit(args, {"value": str(r.value), "certificate": certificate},
+          f"{r.value}\ncertificate {json.dumps(certificate)}")
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> None:
     w = parse_word(args.word, args.strands)
-    knot = closure_components(w) == 1
+    components = closure_components(w)
     lower_zero, upper_zero = word_sign_bounds(w)
     destab = destab_bounds(w)
     report: dict = {
         "strands": w.strands,
-        "knot": knot,
+        "knot": components == 1,
         "bt_lower_zero": lower_zero,
         "bt_upper_zero": upper_zero,
         "destab": list(destab) if destab is not None else None,
     }
     audit_kwargs = _audit_kwargs({k: v for k, v in vars(args).items() if v is not None})
-    if knot:
+    if components == 1:
         b = tau_s_bounds(w)
         report["tau"] = [b.tau_lo, b.tau_hi]
         report["s"] = [b.s_lo, b.s_hi]
         # Adds floor, fdtc and predicates; strands is already there.
         report.update(audit_bounds(w, predicates=args.predicates, cap=args.cap, **audit_kwargs))
+        lines = [
+            f"tau in [{b.tau_lo}, {b.tau_hi}]",
+            f"s in [{b.s_lo}, {b.s_hi}]",
+            f"floor {report['floor']}",
+            f"fdtc {report['fdtc']}",
+        ]
     elif audit_kwargs or args.predicates is not None:
         raise ValueError("genus and concordance predicates need a knot closure")
-    if args.json:
-        _print_json(report)
-        return 0
-    if knot:
-        print(f"tau in [{report['tau'][0]}, {report['tau'][1]}]")
-        print(f"s in [{report['s'][0]}, {report['s'][1]}]")
-        print(f"floor {report['floor']}")
-        print(f"fdtc {report['fdtc']}")
     else:
-        print(f"closure has {closure_components(w)} components; tau/s bounds need a knot")
-    certs = []
-    if lower_zero:
-        certs.append("BT >= 0")
-    if upper_zero:
-        certs.append("BT <= 0")
-    print(f"sign bounds: {' and '.join(certs) if certs else 'none'}")
-    if destab is not None:
-        print(f"destabilization bounds: [{destab[0]}, {destab[1]}]")
-    else:
-        print("destabilization bounds: none detected")
+        lines = [f"closure has {components} components; tau/s bounds need a knot"]
+    certs = [cert for cert, holds in (("BT >= 0", lower_zero), ("BT <= 0", upper_zero)) if holds]
+    lines.append(f"sign bounds: {' and '.join(certs) or 'none'}")
+    lines.append("destabilization bounds: "
+                 + (f"[{destab[0]}, {destab[1]}]" if destab is not None else "none detected"))
     for entry in report.get("predicates", ()):
-        detail = {
-            k: str(v) for k, v in entry.items() if k not in ("predicate", "status")
-        }
-        print(f"{entry['predicate']}: {entry['status']} {json.dumps(detail)}")
-    return 0
+        detail = {k: str(v) for k, v in entry.items() if k not in ("predicate", "status")}
+        lines.append(f"{entry['predicate']}: {entry['status']} {json.dumps(detail)}")
+    _emit(args, report, "\n".join(lines))
 
 
-def _cmd_qp(args) -> int:
+def _cmd_qp(args) -> None:
     s = parse_syllables(args.syllables, args.strands)
     r = qp_report(s)
     word = expand(s)
@@ -185,29 +155,23 @@ def _cmd_qp(args) -> int:
     if args.check:
         report["fdtc"] = fdtc_exact(word, cap=args.cap).value
         report["bound_check"] = qp_bt_bound_holds(s, report["fdtc"])
-    if args.json:
-        _print_json(report)
-        return 0
-    for key, value in report.items():
-        if isinstance(value, tuple):
-            value = f"[{', '.join(str(v) for v in value)}]"
-        print(f"{key}: {value}")
-    return 0
+    _emit(args, report, "\n".join(
+        f"{key}: [{', '.join(map(str, value))}]" if isinstance(value, tuple) else f"{key}: {value}"
+        for key, value in report.items()
+    ))
 
 
-def _cmd_murasugi(args) -> int:
+def _cmd_murasugi(args) -> None:
     if args.cls == 1:
         if args.a is None:
             raise ValueError("class 1 needs --a exponents")
         form = Class1(args.d, tuple(args.a))
-    elif args.cls == 2:
-        if args.m is None:
-            raise ValueError("class 2 needs --m")
-        form = Class2(args.d, args.m)
+        shape = {"a": list(form.a)}
     else:
         if args.m is None:
-            raise ValueError("class 3 needs --m")
-        form = Class3(args.d, args.m)
+            raise ValueError(f"class {args.cls} needs --m")
+        form = (Class2 if args.cls == 2 else Class3)(args.d, args.m)
+        shape = {"m": form.m}
     w = to_word(form)
     report = {
         "class": args.cls,
@@ -216,48 +180,24 @@ def _cmd_murasugi(args) -> int:
         "letters": list(w.letters),
         "fdtc": fdtc_3braid(form),
         "quasi_alternating": is_quasi_alternating(form),
+        **shape,
     }
-    if args.cls == 1:
-        report["a"] = list(form.a)
-    else:
-        report["m"] = form.m
+    lines = [
+        report["text"],
+        f"fdtc {report['fdtc']}",
+        f"quasi-alternating: {'yes' if report['quasi_alternating'] else 'no'}",
+    ]
     if args.cross_check:
         report["cross_check"] = cross_check(form, cap=args.cap)
-    if args.json:
-        _print_json(report)
-        return 0
-    print(report["text"])
-    print(f"fdtc {report['fdtc']}")
-    print(f"quasi-alternating: {'yes' if report['quasi_alternating'] else 'no'}")
-    if args.cross_check:
-        print(f"cross-check: {'agree' if report['cross_check'] else 'DISAGREE'}")
-    return 0
+        lines.append(f"cross-check: {'agree' if report['cross_check'] else 'DISAGREE'}")
+    _emit(args, report, "\n".join(lines))
 
 
-def _cmd_family(args) -> int:
-    name = args.name
-    if name == "ktd":
-        spec = Ktd(args.m, args.k)
-    elif name == "bttau":
-        spec = BTtau(args.k)
-    elif name == "torus":
-        spec = Torus(args.p, args.q)
-    else:
-        base = parse_word(args.word, args.strands)
-        spec = FullTwists(base, args.t)
-    w = generate(spec)
-    if args.json:
-        _print_json(
-            {
-                "family": name,
-                "strands": w.strands,
-                "text": format_word(w),
-                "letters": list(w.letters),
-            }
-        )
-    else:
-        print(format_word(w))
-    return 0
+def _cmd_family(args) -> None:
+    w = generate(args.spec(args))
+    text = format_word(w)
+    _emit(args, {"family": args.name, "strands": w.strands, "text": text,
+                 "letters": list(w.letters)}, text)
 
 
 def _fraction(key: str, value) -> Fraction:
@@ -334,8 +274,25 @@ def _audit_one(entry: dict, predicates, cap) -> dict:
     return record
 
 
+def _entry(line: str):
+    """The JSON value of one corpus line.  The corpus is read with
+    surrogate escapes, so a line that is not UTF-8 fails here, alone, with
+    the first byte that is not; so does a line that nests too deeply."""
+    try:
+        return json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
+
+
 def _cmd_audit(args) -> int:
-    stream = sys.stdin if args.corpus == "-" else open(args.corpus, encoding="utf-8")
+    if args.corpus != "-":
+        stream = open(args.corpus, encoding="utf-8", errors="surrogateescape")
+    elif hasattr(sys.stdin, "buffer"):
+        # UTF-8 whatever the locale; lines end at "\n", as sys.stdin's do.
+        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",
+                                  errors="surrogateescape", newline="\n")
+    else:  # a text stream, such as io.StringIO
+        stream = sys.stdin
     counts = {"entries": 0, "errors": 0, "pass": 0, "fail": 0,
               "counterexample-candidate": 0, "skipped": 0, "mismatches": 0}
     try:
@@ -344,14 +301,10 @@ def _cmd_audit(args) -> int:
                 continue
             counts["entries"] += 1
             try:
-                entry = json.loads(line)
-                record = _audit_one(entry, args.predicates, args.cap)
+                record = _audit_one(_entry(line), args.predicates, args.cap)
             except (ValueError, ReductionCapError) as e:
                 counts["errors"] += 1
-                if args.json:
-                    _print_json({"line": lineno, "error": str(e)})
-                else:
-                    print(f"line {lineno}: error: {e}")
+                _emit(args, {"line": lineno, "error": str(e)}, f"line {lineno}: error: {e}")
                 continue
             record = {"line": lineno, **record}
             for entry_result in record["predicates"]:
@@ -359,29 +312,24 @@ def _cmd_audit(args) -> int:
             for check in record.get("expected", {}).values():
                 if not check["matched"]:
                     counts["mismatches"] += 1
-            if args.json:
-                _print_json(record)
-            else:
-                parts = [f"floor={record['floor']}", f"fdtc={record['fdtc']}"]
-                parts += [f"{p['predicate']}:{p['status']}" for p in record["predicates"]]
-                parts += [
-                    f"expected_{key}:{'ok' if check['matched'] else 'MISMATCH'}"
-                    for key, check in record.get("expected", {}).items()
-                ]
-                print(f"line {lineno}: " + " ".join(parts))
+            parts = [f"floor={record['floor']}", f"fdtc={record['fdtc']}"]
+            parts += [f"{p['predicate']}:{p['status']}" for p in record["predicates"]]
+            parts += [
+                f"expected_{key}:{'ok' if check['matched'] else 'MISMATCH'}"
+                for key, check in record.get("expected", {}).items()
+            ]
+            _emit(args, record, f"line {lineno}: " + " ".join(parts))
     finally:
-        if stream is not sys.stdin:
+        if args.corpus != "-":
             stream.close()
-    summary = {"summary": counts}
-    if args.json:
-        _print_json(summary)
-    else:
-        print(
-            f"audited {counts['entries']} entries: {counts['pass']} pass, "
-            f"{counts['fail']} fail, {counts['counterexample-candidate']} "
-            f"counterexample-candidate, {counts['skipped']} skipped, "
-            f"{counts['mismatches']} expectation mismatches, {counts['errors']} errors"
-        )
+        elif stream is not sys.stdin:
+            stream.detach()  # sys.stdin keeps its buffer open
+    _emit(args, {"summary": counts}, (
+        f"audited {counts['entries']} entries: {counts['pass']} pass, "
+        f"{counts['fail']} fail, {counts['counterexample-candidate']} "
+        f"counterexample-candidate, {counts['skipped']} skipped, "
+        f"{counts['mismatches']} expectation mismatches, {counts['errors']} errors"
+    ))
     return 1 if counts["errors"] else 0
 
 
@@ -403,38 +351,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--strands", type=integer, required=True, help="number of strands")
+    def add_common(p, strands="number of strands", cap=True):
+        """--strands (if it has help text), --json and --cap (if cap), in that order."""
+        if strands:
+            p.add_argument("--strands", type=integer, required=True, help=strands)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument(
-            "--cap", type=integer, default=None, help="handle reduction step cap"
-        )
+        if cap:
+            p.add_argument("--cap", type=integer, default=None, help="handle reduction step cap")
 
-    p = sub.add_parser("parse", help="validate a word and echo its canonical text")
-    add_common(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("sign", help="order sign of a word against the identity")
-    add_common(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_sign)
-
-    p = sub.add_parser("compare", help="order two words: LT, EQ or GT")
-    add_common(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("floor", help="Dehornoy floor")
-    add_common(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_floor)
-
-    p = sub.add_parser("fdtc", help="exact fractional Dehn twist coefficient")
-    add_common(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_fdtc)
+    for name, func, help_text, *positionals in (
+        ("parse", _cmd_parse, "validate a word and echo its canonical text", "word"),
+        ("sign", _cmd_sign, "order sign of a word against the identity", "word"),
+        ("compare", _cmd_compare, "order two words: LT, EQ or GT", "left", "right"),
+        ("floor", _cmd_floor, "Dehornoy floor", "word"),
+        ("fdtc", _cmd_fdtc, "exact fractional Dehn twist coefficient", "word"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bounds", help="tau/s windows, sign and destabilization bounds")
     add_common(p)
@@ -468,44 +404,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=integer, default=None, help="class 2/3 exponent")
     p.add_argument("--cross-check", dest="cross_check", action="store_true",
                    help="verify the closed form against the engine")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=integer, default=None)
+    add_common(p, strands=None)
     p.set_defaults(func=_cmd_murasugi)
 
     p = sub.add_parser("family", help="emit a word from a named family")
     fam = p.add_subparsers(dest="name", required=True)
-
-    f = fam.add_parser("ktd", help="3-braid torus words with negative twist tails")
-    f.add_argument("m", type=integer)
-    f.add_argument("k", type=integer)
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_family)
-
-    f = fam.add_parser("bttau", help="full twists against a negative tail")
-    f.add_argument("k", type=integer)
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_family)
-
-    f = fam.add_parser("torus", help="(p,q) torus braids")
-    f.add_argument("p", type=integer)
-    f.add_argument("q", type=integer)
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_family)
-
+    # Each family sets the spec it builds from its arguments.
+    for name, help_text, positionals, spec in (
+        ("ktd", "3-braid torus words with negative twist tails", ("m", "k"),
+         lambda a: Ktd(a.m, a.k)),
+        ("bttau", "full twists against a negative tail", ("k",), lambda a: BTtau(a.k)),
+        ("torus", "(p,q) torus braids", ("p", "q"), lambda a: Torus(a.p, a.q)),
+    ):
+        f = fam.add_parser(name, help=help_text)
+        for positional in positionals:
+            f.add_argument(positional, type=integer)
+        add_common(f, strands=None, cap=False)
+        f.set_defaults(func=_cmd_family, spec=spec)
     f = fam.add_parser("fulltwists", help="a base word times a power of the full twist")
     f.add_argument("t", type=integer)
     f.add_argument("word")
-    f.add_argument("--strands", type=integer, required=True,
-                   help="strand count for the base word")
-    f.add_argument("--json", action="store_true")
-    f.set_defaults(func=_cmd_family)
+    add_common(f, strands="strand count for the base word", cap=False)
+    f.set_defaults(func=_cmd_family,
+                   spec=lambda a: FullTwists(parse_word(a.word, a.strands), a.t))
 
     p = sub.add_parser("audit", help="run bound predicates over a JSON-lines corpus")
     p.add_argument("corpus", nargs="?", default="-",
                    help="corpus file, or - for stdin (default)")
     p.add_argument("--predicates", type=_predicate_list, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=integer, default=None)
+    add_common(p, strands=None)
     p.set_defaults(func=_cmd_audit)
 
     return parser
@@ -519,7 +446,7 @@ def run(argv: list[str] | None = None) -> int:
         code = e.code
         return code if isinstance(code, int) else 0
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except BrokenPipeError:  # not an input error: main() ends quietly
         raise
     except (ReductionCapError, ValueError, OSError) as e:

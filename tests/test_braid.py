@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -284,6 +285,23 @@ class TestFullTwistFrom:
             tail = BraidWord(n, _full_twist_from(n, i)[1:])
             assert all(g > 0 for g in tail.letters)
             assert compare(tail, BraidWord(n, [-i]) * twist) is OrderSign.EQUAL
+
+
+    def test_words_are_not_kept_after_the_call(self):
+        """Delta and Delta^2 words are built on each call, not cached: a
+        loop over 40 strand counts, about 6 million letters in all, leaves
+        almost nothing allocated once the words are dropped."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(300, 340):
+                garside_delta(n)
+                garside_delta(n, squared=True)
+                _full_twist_from(n, 1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
 
 
 class TestLetterBudget:

@@ -282,6 +282,36 @@ class TestAuditCommand:
         assert run(["audit", "/no/such/corpus.jsonl"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "via, io_encoding",
+        [("file", None), ("stdin", "utf-8:strict"), ("stdin", "latin-1")],
+    )
+    def test_line_that_is_not_utf8_is_an_error_record(self, tmp_path, via, io_encoding):
+        """A line holding a byte that is not UTF-8 becomes that line's error
+        record and the audit goes on, from a file or from stdin, whatever
+        encoding the process gives stdin."""
+        good = b'{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/3"}}\n'
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(good + b"\xff\n" + good)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        env.pop("PYTHONIOENCODING", None)
+        if io_encoding is not None:
+            env["PYTHONIOENCODING"] = io_encoding
+        argv = [sys.executable, "-m", "braidtwist.cli", "audit", "--json"]
+        if via == "file":
+            result = subprocess.run(argv + [str(corpus)], capture_output=True, env=env, timeout=120)
+        else:
+            result = subprocess.run(argv, input=corpus.read_bytes(), capture_output=True,
+                                    env=env, timeout=120)
+        assert result.returncode == 1 and result.stderr == b""
+        out = [json.loads(line) for line in result.stdout.decode("ascii").splitlines()]
+        assert out[1] == {
+            "line": 2,
+            "error": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        }
+        assert [r["expected"]["fdtc"]["matched"] for r in (out[0], out[2])] == [True, True]
+        assert out[3]["summary"]["entries"] == 3 and out[3]["summary"]["errors"] == 1
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -287,6 +287,8 @@ def _entry(line: str):
 def _cmd_audit(args) -> int:
     if args.corpus != "-":
         stream = open(args.corpus, encoding="utf-8", errors="surrogateescape")
+    elif sys.stdin is None:  # the process was started with stdin closed
+        raise OSError("standard input is closed; name a corpus file")
     elif hasattr(sys.stdin, "buffer"):
         # UTF-8 whatever the locale; lines end at "\n", as sys.stdin's do.
         stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",

@@ -30,7 +30,8 @@ mediant's denominator b exceeds n; the two ends are then neighbours in
 the Farey sequence F_n, nothing with denominator <= n lies strictly
 between them, and one more probe, of that last mediant, picks the end
 that BT equals, the winner p/q.  Mediant denominators never decrease,
-so the state only grows, by single copies of u, and the last mediant
+so the state only grows: a probe applies its new copies of u as one run
+of letters, then its change in twists as another, and the last mediant
 has n < b <= 2n - 1.  A probe that reads 0 says w^b = Delta^(2a) (the
 action is faithful): the descent stops there, with BT = a/b.  A single
 letter has floor 0 or -1, so quasimorphism additivity keeps
@@ -61,12 +62,14 @@ Fields by arithmetic.  The sandwich at x = w^P gives
 [w^P]_D = floor(P p / q).  If it does, the winner's statement decides,
 raised to the power P/q: P p / q if Delta^(2p) <= w^q (an EQUAL compare
 included), P p / q - 1 if w^q < Delta^(2p).  The power reported is the
-first power of two P >= 2 whose interval [f/P, (f+1)/P] holds no
-rational with denominator <= n but p/q, found by integer counting; that
-is the first power of two above n(n-1) at the latest, since neighbours
-in F_n are at least 1/(n(n-1)) apart.  The floor of w is the same
-arithmetic at P = 1, so fdtc_exact proves it with no compare of its
-own.
+first power of two P >= 2 whose interval [f/P, (f+1)/P] lies strictly
+between the neighbours l/m < p/q < r/s of p/q in F_n, so holds no other
+rational with denominator <= n: m and s are the largest values <= n
+with p m = 1 and p s = -1 (mod q) (n when q = 1), l = (p m - 1)/q and
+r = (p s + 1)/q.  Neighbours in F_n are at least 1/(n(n-1)) apart, so
+P is the first power of two above n(n-1) at the latest.  The floor of
+w is the same arithmetic at P = 1, so fdtc_exact proves it with no
+compare of its own.
 
 Certificate words.  A handle reduction's cost depends on where the
 letters sit, not only on how many there are: on the words of the
@@ -100,14 +103,13 @@ integer operations per letter, and needs no budget.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dynnikov, ordering
 
-# free_reduce and garside_delta are not called here; bench/spans.py wraps
-# them under this module's name.
+# free_reduce, garside_delta and compare are not called here;
+# bench/spans.py wraps them under this module's name.
 from .braid import (  # noqa: F401
     BraidWord,
     _conjugate_split,
@@ -116,7 +118,7 @@ from .braid import (  # noqa: F401
     free_reduce,
     garside_delta,
 )
-from .ordering import OrderSign, compare
+from .ordering import OrderSign, compare  # noqa: F401
 
 FLOOR_CONVENTION = "max-t-with-Δ^{2t}⪯β"
 
@@ -177,15 +179,12 @@ class _PowerSearch:
 
     def _probe(self, a: int, b: int) -> int:
         """+1, 0 or -1 as Delta^(-2a) w^b is >, = or < 1, for b no smaller
-        than the copies the state holds: the state grows to b copies and a
-        twists, and a copy of it gets c^-1."""
-        while self._copies < b:
-            dynnikov.act(self._state, self._u)
-            self._copies += 1
+        than the copies the state holds: the state takes its new copies of
+        u, then its change in twists, and a copy of it gets c^-1."""
+        dynnikov.act(self._state, self._u * (b - self._copies))
         block = self._untwist if a > self._twists else self._twist
-        for _ in range(abs(a - self._twists)):
-            dynnikov.act(self._state, block)
-        self._twists = a
+        dynnikov.act(self._state, block * abs(a - self._twists))
+        self._copies, self._twists = b, a
         return dynnikov.sign(dynnikov.act(self._state.copy(), self._c_inverse))
 
     def descend(self, limit: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -235,11 +234,10 @@ class _PowerSearch:
 
 
 def _power_sign(search: _PowerSearch, P: int, t: int, *, cap: int | None = None) -> OrderSign:
-    """The order sign of Delta^(-2t) w^P against 1, by one handle
-    reduction of search.twisted_power(P, t), whose blocks are reduced at
-    most once per search."""
-    word = search.twisted_power(P, t, cap=cap)
-    return compare(word, BraidWord(search.strands), cap=cap)
+    """The order sign of Delta^(-2t) w^P: ordering.order_sign of
+    search.twisted_power(P, t), one handle reduction of kept blocks that
+    are reduced at most once per search."""
+    return ordering.order_sign(search.twisted_power(P, t, cap=cap), cap=cap)
 
 
 def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
@@ -258,17 +256,23 @@ def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     return FloorResult(floor=t)
 
 
-def _unique_rational(f: int, P: int, n: int) -> tuple[int, int] | None:
-    """(p, q) if [f/P, (f+1)/P] holds exactly one reduced p/q with
-    1 <= q <= n, else None.  Integer arithmetic only."""
-    found = None
-    for q in range(1, n + 1):
-        for p in range(-(-f * q // P), (f + 1) * q // P + 1):
-            if math.gcd(p, q) == 1:
-                if found is not None:
-                    return None
-                found = (p, q)
-    return found
+def _floor_of_power(P: int, p: int, q: int, below: bool) -> int:
+    """[w^P]_D for BT(w) = p/q, below whether Delta^(2p) <= w^q (module notes)."""
+    f, rest = divmod(P * p, q)
+    return f if rest or below else f - 1
+
+
+def _isolating_power(p: int, q: int, n: int, below: bool) -> int:
+    """The first power of two P >= 2 whose interval [f/P, (f+1)/P],
+    f = [w^P]_D, lies strictly between the F_n neighbours of p/q (module notes)."""
+    m, s = ((n - x) // q * q + x for x in (pow(p, -1, q), pow(-p, -1, q)))
+    l, r = (p * m - 1) // q, (p * s + 1) // q
+    P = 2  # P = 1 never isolates: [f, f + 1] holds f, f + 1/2 and f + 1
+    f = _floor_of_power(P, p, q, below)
+    while f * m <= l * P or (f + 1) * s >= r * P:
+        P *= 2
+        f = _floor_of_power(P, p, q, below)
+    return P
 
 
 def _certify(search: _PowerSearch, winner, other, cap: int) -> bool:
@@ -329,21 +333,14 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
             )
     p, q = winner
     below = _certify(search, winner, mediant, cap)
-
-    def floor_of_power(P: int) -> int:
-        f, rest = divmod(P * p, q)
-        return f if rest or below else f - 1
-
-    P = 2  # P = 1 never isolates: [f, f + 1] holds f, f + 1/2 and f + 1
-    while _unique_rational(floor_of_power(P), P, n) is None:
-        P *= 2
-    f = floor_of_power(P)
+    P = _isolating_power(p, q, n, below)
+    f = _floor_of_power(P, p, q, below)
     return FdtcResult(
         value=Fraction(p, q),
         power_used=P,
         floor_of_power=f,
         interval=(Fraction(f, P), Fraction(f + 1, P)),
-        floor=floor_of_power(1),
+        floor=_floor_of_power(1, p, q, below),
     )
 
 

@@ -476,6 +476,14 @@ class TestExitCodes:
         assert run(["audit", str(tmp_path / "missing.jsonl")]) == 1
         assert "No such file" in capsys.readouterr().err
 
+    def test_closed_stdin(self, capsys, monkeypatch):
+        """With stdin closed, as `audit <&-` leaves it (sys.stdin is None),
+        audit prints one error line and exits 1."""
+        monkeypatch.setattr("sys.stdin", None)
+        assert run(["audit"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_output_cut_short(self, tmp_path):
         """A reader that leaves after one line, as `| head -n 1` does, sees
         `audit` end quietly: exit status 0 and nothing on stderr.  The

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -43,6 +44,19 @@ def fdtc_interval(w, N, *, cap=None):
         raise ValueError(f"power must be positive, got {N}")
     f = dehornoy_floor(free_reduce(w**N), cap=cap).floor
     return Fraction(f, N), Fraction(f + 1, N)
+
+
+def _unique_rational(f, P, n):
+    """(p, q) if [f/P, (f+1)/P] holds exactly one reduced p/q with
+    1 <= q <= n, else None, by listing every candidate."""
+    found = None
+    for q in range(1, n + 1):
+        for p in range(-(-f * q // P), (f + 1) * q // P + 1):
+            if math.gcd(p, q) == 1:
+                if found is not None:
+                    return None
+                found = (p, q)
+    return found
 
 
 def recording_claims(monkeypatch):
@@ -325,11 +339,13 @@ class TestDehornoyFloor:
         """The Dynnikov search finds the floor; handle reduction only certifies it."""
         calls = []
 
-        def counting(a, b, *, cap=None):
-            calls.append(a)
-            return compare(a, b, cap=cap)
+        order_sign = ordering.order_sign
 
-        monkeypatch.setattr(fdtc, "compare", counting)
+        def counting(w, *, cap=None):
+            calls.append(w)
+            return order_sign(w, cap=cap)
+
+        monkeypatch.setattr(ordering, "order_sign", counting)
         for w in FLIP_WORDS:
             calls.clear()
             dehornoy_floor(w)
@@ -390,6 +406,27 @@ class TestFdtcInterval:
     def test_power_must_be_positive(self):
         with pytest.raises(ValueError):
             fdtc_interval(BraidWord(3, [1]), 0)
+
+
+class TestIsolatingPower:
+    def test_neighbours_match_the_listing(self):
+        """The power read off the F_n neighbours of p/q is the first power
+        of two P >= 2 at which listing every rational with denominator
+        <= n in [f/P, (f+1)/P] finds p/q alone, for every reduced p/q with
+        |p| <= 3q, n = 2..8 and both statements of the winner."""
+        for n in range(2, 9):
+            for q in range(1, n + 1):
+                for p in range(-3 * q, 3 * q + 1):
+                    if math.gcd(p, q) != 1:
+                        continue
+                    for below in (True, False):
+                        P = 2
+                        while (found := _unique_rational(
+                            fdtc._floor_of_power(P, p, q, below), P, n
+                        )) is None:
+                            P *= 2
+                        assert found == (p, q)
+                        assert fdtc._isolating_power(p, q, n, below) == P
 
 
 class TestFdtcExact:
@@ -477,12 +514,13 @@ class TestFdtcExact:
         """w^q = Delta^(2p) is certified by one handle reduction, of
         Delta^(-2p) w^q at the value p/q, that compares EQUAL."""
         claims, signs = recording_claims(monkeypatch), []
+        order_sign = ordering.order_sign
 
-        def recording_compare(a, b, *, cap=None):
-            signs.append(compare(a, b, cap=cap))
+        def recording_sign(w, *, cap=None):
+            signs.append(order_sign(w, cap=cap))
             return signs[-1]
 
-        monkeypatch.setattr(fdtc, "compare", recording_compare)
+        monkeypatch.setattr(ordering, "order_sign", recording_sign)
         for w in PERIODIC_WORDS:
             claims.clear()
             signs.clear()
@@ -613,7 +651,7 @@ class TestFdtcExact:
         """One wrong answer, Dynnikov probe or certificate compare, must
         never yield a value from fdtc_exact or dehornoy_floor: each is
         flipped in turn (a probe that reads >= 0 then reads -1)."""
-        probe, compare = fdtc._PowerSearch._probe, fdtc.compare
+        probe, order_sign = fdtc._PowerSearch._probe, ordering.order_sign
 
         def flipping(original, flip, k, seen):
             def wrapper(*args, **kwargs):
@@ -628,7 +666,7 @@ class TestFdtcExact:
 
         targets = (
             (fdtc._PowerSearch, "_probe", probe, lambda sign: -1 if sign >= 0 else 1),
-            (fdtc, "compare", compare, flip_sign),
+            (ordering, "order_sign", order_sign, flip_sign),
         )
         for function, w, (owner, name, original, flip) in itertools.product(
             (fdtc_exact, dehornoy_floor), FLIP_WORDS, targets

@@ -3,7 +3,6 @@
 from .braid import (
     BraidWord,
     closure_components,
-    detect_destabilizable,
     exponent_counts,
     format_word,
     free_reduce,
@@ -28,7 +27,6 @@ __all__ = [
     "ReductionCapError",
     "closure_components",
     "compare",
-    "detect_destabilizable",
     "exponent_counts",
     "format_word",
     "free_reduce",

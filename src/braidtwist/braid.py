@@ -212,38 +212,38 @@ def permutation(w: BraidWord) -> tuple[int, ...]:
     Multiplicative in diagram order: the tuple of a * b is that of a
     followed by that of b, (pb[i - 1] for i in pa).
     """
-    return _permutation(w.letters, w.strands)
+    moved = _moved(w.letters)
+    return tuple(moved.get(j, j) for j in range(1, w.strands + 1))
 
 
-def _permutation(letters, n: int) -> tuple[int, ...]:
-    strand_at = list(range(n + 1))  # strand_at[p] = strand currently at position p
+def _moved(letters) -> dict[int, int]:
+    """The permutation of the letters on the strands it moves: j maps to
+    the ending position of the strand that starts at position j, for each
+    j that does not end where it starts.  Only the positions the letters
+    touch are traced, so the cost follows the word, not the strand count
+    or the highest index."""
+    strand_at: dict[int, int] = {}  # strand_at[p] = strand currently at position p
     for g in letters:
         i = g if g > 0 else -g
-        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-    images = [0] * (n + 1)
-    for p in range(1, n + 1):
-        images[strand_at[p]] = p
-    return tuple(images[1:])
+        strand_at[i], strand_at[i + 1] = strand_at.get(i + 1, i + 1), strand_at.get(i, i)
+    return {j: p for p, j in strand_at.items() if j != p}
 
 
 def closure_components(w: BraidWord) -> int:
     """Number of link components of the closure (cycles of the permutation).
 
-    Strands above the highest generator index are fixed points, one
-    component each, so only the strands up to that index + 1 are traced:
-    the cost follows the word, not the strand count.
+    Every strand the word does not move is a component of its own, so
+    only the moved strands are traced (_moved): the cost follows the
+    word, not the strand count or the highest index.
     """
-    moved = max(map(abs, w.letters), default=1) + 1
-    images = _permutation(w.letters, moved)
-    seen = [False] * (moved + 1)
-    cycles = 0
-    for j in images:
-        if not seen[j]:
-            cycles += 1
-            while not seen[j]:
-                seen[j] = True
-                j = images[j - 1]
-    return cycles + w.strands - moved
+    images = _moved(w.letters)
+    cycles = w.strands - len(images)
+    while images:
+        start, j = images.popitem()
+        while j != start:
+            j = images.pop(j)
+        cycles += 1
+    return cycles
 
 
 def positive_braid_genus(w: BraidWord) -> Fraction:
@@ -306,19 +306,3 @@ def make_positive(w: BraidWord, t: int) -> BraidWord:
     if ordering.compare(result, target) is not ordering.OrderSign.EQUAL:
         raise RuntimeError("positive rewrite does not equal w * Delta^(2t)")
     return result
-
-
-def detect_destabilizable(w: BraidWord) -> int | None:
-    """+1/-1 when some cyclic rotation exposes a lone sigma_{n-1}^{+1/-1}.
-
-    The word is freely and cyclically reduced first; rotations of the
-    result all contain the same letters, so the check is a count: exactly
-    one occurrence of index n-1 overall.  Purely syntactic, hence a
-    sufficient but not necessary destabilization test.
-    """
-    _, letters = _conjugate_split(w.letters)
-    top = w.strands - 1
-    occurrences = [g for g in letters if abs(g) == top]
-    if len(occurrences) == 1:
-        return 1 if occurrences[0] > 0 else -1
-    return None

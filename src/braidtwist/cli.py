@@ -32,12 +32,7 @@ from .braid import (
     integer,
     parse_word,
 )
-from .fdtc import (
-    dehornoy_floor,
-    destab_bounds,
-    fdtc_exact,
-    word_sign_bounds,
-)
+from .fdtc import dehornoy_floor, fdtc_exact
 from .families import BTtau, FullTwists, Ktd, Torus, generate
 from .genus_bounds import PREDICATES, audit_bounds, tau_s_bounds
 from .murasugi import (
@@ -50,7 +45,13 @@ from .murasugi import (
     to_word,
 )
 from .ordering import ReductionCapError, compare, order_sign
-from .quasipositive import expand, parse_syllables, qp_bt_bound_holds, qp_report
+from .quasipositive import (
+    _check_bound_applies,
+    expand,
+    parse_syllables,
+    qp_bt_bound_holds,
+    qp_report,
+)
 
 
 def _fraction_text(value) -> str:
@@ -111,15 +112,7 @@ def _cmd_fdtc(args) -> None:
 def _cmd_bounds(args) -> None:
     w = parse_word(args.word, args.strands)
     components = closure_components(w)
-    lower_zero, upper_zero = word_sign_bounds(w)
-    destab = destab_bounds(w)
-    report: dict = {
-        "strands": w.strands,
-        "knot": components == 1,
-        "bt_lower_zero": lower_zero,
-        "bt_upper_zero": upper_zero,
-        "destab": list(destab) if destab is not None else None,
-    }
+    report: dict = {"strands": w.strands, "knot": components == 1}
     audit_kwargs = _audit_kwargs({k: v for k, v in vars(args).items() if v is not None})
     if components == 1:
         b = tau_s_bounds(w)
@@ -127,20 +120,14 @@ def _cmd_bounds(args) -> None:
         report["s"] = [b.s_lo, b.s_hi]
         # Adds floor, fdtc and predicates; strands is already there.
         report.update(audit_bounds(w, predicates=args.predicates, cap=args.cap, **audit_kwargs))
-        lines = [
-            f"tau in [{b.tau_lo}, {b.tau_hi}]",
-            f"s in [{b.s_lo}, {b.s_hi}]",
-            f"floor {report['floor']}",
-            f"fdtc {report['fdtc']}",
-        ]
+        lines = [f"tau in [{b.tau_lo}, {b.tau_hi}]", f"s in [{b.s_lo}, {b.s_hi}]"]
     elif audit_kwargs or args.predicates is not None:
         raise ValueError("genus and concordance predicates need a knot closure")
     else:
+        r = fdtc_exact(w, cap=args.cap)
+        report.update(floor=r.floor, fdtc=r.value)
         lines = [f"closure has {components} components; tau/s bounds need a knot"]
-    certs = [cert for cert, holds in (("BT >= 0", lower_zero), ("BT <= 0", upper_zero)) if holds]
-    lines.append(f"sign bounds: {' and '.join(certs) or 'none'}")
-    lines.append("destabilization bounds: "
-                 + (f"[{destab[0]}, {destab[1]}]" if destab is not None else "none detected"))
+    lines += [f"floor {report['floor']}", f"fdtc {report['fdtc']}"]
     for entry in report.get("predicates", ()):
         detail = {k: str(v) for k, v in entry.items() if k not in ("predicate", "status")}
         lines.append(f"{entry['predicate']}: {entry['status']} {json.dumps(detail)}")
@@ -153,12 +140,10 @@ def _cmd_qp(args) -> None:
     word = expand(s)
     report = {"strands": s.strands, **dataclasses.asdict(r), "expanded": format_word(word)}
     if args.check:
+        _check_bound_applies(s)  # before the engine runs
         report["fdtc"] = fdtc_exact(word, cap=args.cap).value
         report["bound_check"] = qp_bt_bound_holds(s, report["fdtc"])
-    _emit(args, report, "\n".join(
-        f"{key}: [{', '.join(map(str, value))}]" if isinstance(value, tuple) else f"{key}: {value}"
-        for key, value in report.items()
-    ))
+    _emit(args, report, "\n".join(f"{key}: {value}" for key, value in report.items()))
 
 
 def _cmd_murasugi(args) -> None:
@@ -374,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(positional)
         p.set_defaults(func=func)
 
-    p = sub.add_parser("bounds", help="tau/s windows, sign and destabilization bounds")
+    p = sub.add_parser("bounds", help="floor and exact FDTC of any closure; "
+                       "tau/s windows and bound predicates of a knot")
     add_common(p)
     p.add_argument("word")
     p.add_argument("--g3", default=None, help="known Seifert genus of the closure")

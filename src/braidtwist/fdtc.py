@@ -114,7 +114,6 @@ from .braid import (  # noqa: F401
     BraidWord,
     _conjugate_split,
     _full_twist_from,
-    detect_destabilizable,
     free_reduce,
     garside_delta,
 )
@@ -342,32 +341,3 @@ def fdtc_exact(w: BraidWord, *, cap: int | None = None) -> FdtcResult:
         interval=(Fraction(f, P), Fraction(f + 1, P)),
         floor=_floor_of_power(1, p, q, below),
     )
-
-
-def word_sign_bounds(w: BraidWord) -> tuple[bool, bool]:
-    """(BT >= 0 certified, BT <= 0 certified) from letter signs alone.
-
-    A generator index that occurs only positively forces BT >= 0; only
-    negatively, BT <= 0.  Indices that never occur certify nothing.
-    """
-    seen_pos: set[int] = set()
-    seen_neg: set[int] = set()
-    for g in w.letters:
-        (seen_pos if g > 0 else seen_neg).add(abs(g))
-    lower_zero = bool(seen_pos - seen_neg)
-    upper_zero = bool(seen_neg - seen_pos)
-    return lower_zero, upper_zero
-
-
-def destab_bounds(w: BraidWord) -> tuple[Fraction, Fraction] | None:
-    """(0,1) or (-1,0) when the word visibly destabilizes, else None.
-
-    A single positive (negative) occurrence of the top generator after
-    free and cyclic reduction traps BT in the unit interval of that sign.
-    """
-    sign = detect_destabilizable(w)
-    if sign is None:
-        return None
-    if sign > 0:
-        return Fraction(0), Fraction(1)
-    return Fraction(-1), Fraction(0)

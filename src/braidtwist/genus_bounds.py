@@ -1,11 +1,8 @@
 """Concordance-invariant bounds and the audit predicates built on them.
 
 tau_s_bounds reads off the writhe-based window for the tau and s
-invariants of a knot presented as a braid closure.  The closed forms
-(torus tau, upsilon at t=1 for the two torus families, and the
-four-genus of their difference) are reference values for callers and
-tests; the audits do not use them.  Every g3/g4 an audit reads is
-caller-supplied ground truth, never invented here.
+invariants of a knot presented as a braid closure.  Every g3/g4 an
+audit reads is caller-supplied ground truth, never invented here.
 
 audit_bounds evaluates the floor and twist-coefficient inequalities a
 braid closure is expected to satisfy.  They are rows of one table, which
@@ -24,7 +21,6 @@ PREDICATES lists the rows in table order:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -60,44 +56,6 @@ def tau_s_bounds(w: BraidWord) -> InvariantBounds:
         s_lo=Fraction(k - l - n + 1),
         s_hi=Fraction(k - l + n - 1),
     )
-
-
-def torus_tau(p: int, q: int) -> Fraction:
-    """tau of the (p,q) torus knot: (p-1)(q-1)/2."""
-    if p < 1 or q < 1:
-        raise ValueError(f"torus parameters must be positive, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"torus parameters must be coprime, got ({p}, {q})")
-    return Fraction((p - 1) * (q - 1), 2)
-
-
-def upsilon_at_one(family: str, index: int) -> int:
-    """Upsilon(1) for the two torus families with known closed forms.
-
-    "T2" with index k is the (2, 2k+1) torus knot, value -k; "T3" with
-    index m is the (3, 3m+1) torus knot, value -2m.  Anything else is
-    out of scope on purpose.
-    """
-    if index < 0:
-        raise ValueError(f"family index must be nonnegative, got {index}")
-    if family == "T2":
-        return -index
-    if family == "T3":
-        return -2 * index
-    raise ValueError(f"unknown family {family!r}, expected 'T2' or 'T3'")
-
-
-def g4_torus_difference(m: int, k: int) -> Fraction:
-    """Four-genus of the difference knot T(3,3m+1) # -T(2,2k+1).
-
-    Both tau and upsilon(1) bound the four-genus of a difference from
-    below, and for these families one of the two is always sharp.
-    """
-    if m < 0 or k < 0:
-        raise ValueError(f"family indices must be nonnegative, got ({m}, {k})")
-    tau_gap = abs(torus_tau(3, 3 * m + 1) - torus_tau(2, 2 * k + 1))
-    upsilon_gap = abs(upsilon_at_one("T3", m) - upsilon_at_one("T2", k))
-    return Fraction(max(tau_gap, Fraction(upsilon_gap)))
 
 
 def _ito(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:

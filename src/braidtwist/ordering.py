@@ -48,7 +48,7 @@ from .braid import (
     DEFAULT_STEP_CAP,
     BraidWord,
     _free_reduce_letters,
-    _permutation,
+    _moved,
     exponent_counts,
     integer,
 )
@@ -184,8 +184,7 @@ def handle_reduce(w: BraidWord, *, cap: int | None = None) -> BraidWord:
     leaves anything else raises RuntimeError.  Exponent sum
     and underlying permutation are preserved; with VERIFY_REDUCTIONS set
     both are checked on every call.  The permutations are compared only
-    on the strands up to the highest index either word uses, plus one:
-    both words fix every strand above.
+    on the strands the words move (braid._moved).
     """
     out = tuple(_reduce_core(w.letters, _effective_cap(cap)))
     # A reduction writes only indices its input holds; one pass keeps that
@@ -196,8 +195,7 @@ def handle_reduce(w: BraidWord, *, cap: int | None = None) -> BraidWord:
     if VERIFY_REDUCTIONS:
         if exponent_counts(w)[2] != exponent_counts(reduced)[2]:
             raise RuntimeError("reduction changed the exponent sum (engine bug)")
-        moved = max(map(abs, w.letters + reduced.letters), default=1) + 1
-        if _permutation(w.letters, moved) != _permutation(reduced.letters, moved):
+        if _moved(w.letters) != _moved(reduced.letters):
             raise RuntimeError("reduction changed the permutation (engine bug)")
     return reduced
 

@@ -4,10 +4,9 @@ A syllable word is a product of conjugated generators
 (w_1 sigma_{i_1} w_1^{-1})^{e_1} ... (w_m sigma_{i_m} w_m^{-1})^{e_m}.
 All-positive syllable words are exactly the quasipositive braids; for
 those, m bands give chi_4 = n - m for the closure surface and the twist
-coefficient is trapped in [0, m-1].  For mixed signs only the weaker
-syllable-count bounds survive, and they are conditional on hypotheses
-(no destabilizations, chi_4 = n - m) that no algorithm here verifies;
-the report carries them next to the syntactic screens it could run.
+coefficient is trapped in [0, m-1], which check_qp_bt_bound verifies
+with the engine.  A word with a negative band gets no bound here: its
+exact twist coefficient is fdtc_exact of the expanded word.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from fractions import Fraction
 
 from .braid import (
     BraidWord,
+    _check_length,
     closure_components,
-    detect_destabilizable,
     format_word,
     free_reduce,
     integer,
@@ -72,20 +71,16 @@ class QpReport:
     """Bookkeeping bounds read off a syllable word without reduction.
 
     chi4, g4 and bt_upper hold only for all-positive words (g4 further
-    needs a knot closure); they are None when inapplicable.  The
-    syllable_sign_bounds pair applies to mixed words, always conditionally:
-    it assumes no destabilizations and chi_4 = n - m, which nothing here
-    proves; the flags below it record the screens that could be run.
+    needs a knot closure); they are None when inapplicable.  The exact
+    twist coefficient of any syllable word is fdtc_exact of its expansion.
     """
 
     qp_length: int
     chi4: int | None
     g4: Fraction | None
     bt_upper: int | None
-    syllable_sign_bounds: tuple[Fraction, Fraction]
     all_positive: bool
     closure_is_knot: bool
-    passes_destabilization_screen: bool
 
 
 def expand(s: SyllableWord) -> BraidWord:
@@ -102,11 +97,8 @@ def qp_report(s: SyllableWord) -> QpReport:
     """Structural bounds for a syllable word; nothing here reduces words."""
     n = s.strands
     m = len(s.syllables)
-    p_plus = sum(1 for syl in s.syllables if syl.sign > 0)
-    p_minus = m - p_plus
-    word = expand(s)
-    all_positive = p_minus == 0 and m > 0
-    knot = closure_components(word) == 1
+    all_positive = m > 0 and all(syl.sign > 0 for syl in s.syllables)
+    knot = closure_components(expand(s)) == 1
     chi4 = n - m if all_positive else None
     g4 = Fraction(m - n + 1, 2) if all_positive and knot else None
     return QpReport(
@@ -114,19 +106,27 @@ def qp_report(s: SyllableWord) -> QpReport:
         chi4=chi4,
         g4=g4,
         bt_upper=m - 1 if all_positive else None,
-        syllable_sign_bounds=(
-            Fraction(min(-p_minus + 1, 0)),
-            Fraction(max(p_plus - 1, 0)),
-        ),
         all_positive=all_positive,
         closure_is_knot=knot,
-        passes_destabilization_screen=detect_destabilizable(word) is None,
     )
 
 
 def check_qp_bt_bound(s: SyllableWord, *, cap: int | None = None) -> bool:
-    """Verify 0 <= BT <= m-1 on an all-positive syllable word, BT from the engine."""
+    """Verify 0 <= BT <= m-1 on an all-positive syllable word, BT from the
+    engine, which runs only once s meets the bound's hypotheses."""
+    _check_bound_applies(s)
     return qp_bt_bound_holds(s, fdtc_exact(expand(s), cap=cap).value)
+
+
+def _check_bound_applies(s: SyllableWord) -> None:
+    """ValueError unless s is an all-positive syllable word on at least 3
+    strands, the words the bound of qp_bt_bound_holds is a theorem for."""
+    if s.strands < 3:
+        raise ValueError("the syllable bound needs at least 3 strands")
+    if not s.syllables:
+        raise ValueError("need at least one syllable")
+    if any(syl.sign != 1 for syl in s.syllables):
+        raise ValueError("the syllable bound needs an all-positive word")
 
 
 def qp_bt_bound_holds(s: SyllableWord, bt: Fraction) -> bool:
@@ -137,19 +137,19 @@ def qp_bt_bound_holds(s: SyllableWord, bt: Fraction) -> bool:
     property of the input.  B_2 is excluded: BT(sigma_1) = 1/2 there,
     which already breaks the m = 1 case.
     """
-    if s.strands < 3:
-        raise ValueError("the syllable bound needs at least 3 strands")
-    m = len(s.syllables)
-    if m < 1:
-        raise ValueError("need at least one syllable")
-    if any(syl.sign != 1 for syl in s.syllables):
-        raise ValueError("the syllable bound needs an all-positive word")
-    return 0 <= bt <= m - 1
+    _check_bound_applies(s)
+    return 0 <= bt <= len(s.syllables) - 1
 
 
 def parse_syllables(text: str, strands: int) -> SyllableWord:
-    """Parse the 'w | i | +; w | i | -' interchange form."""
+    """Parse the 'w | i | +; w | i | -' interchange form.
+
+    The letters the word expands to, 2|w| + 1 per syllable, are counted as
+    each conjugator is read, and more than DEFAULT_STEP_CAP of them is a
+    ValueError before the next syllable is read.
+    """
     syllables = []
+    letters = 0
     stripped = text.strip()
     if stripped:
         for chunk in stripped.split(";"):
@@ -159,6 +159,8 @@ def parse_syllables(text: str, strands: int) -> SyllableWord:
                     f"syllable {chunk!r} must have three '|'-separated fields"
                 )
             conj = parse_word(fields[0], strands).letters
+            letters += 2 * len(conj) + 1
+            _check_length(f"the syllable word up to syllable {len(syllables) + 1}", letters)
             generator_text = fields[1].strip()
             try:
                 generator = integer(generator_text)

@@ -23,7 +23,7 @@ from braidtwist import (
 from braidtwist.braid import closure_components, exponent_counts
 from braidtwist.families import BTtau, Ktd, Torus, generate
 from braidtwist.fdtc import dehornoy_floor, fdtc_exact
-from braidtwist.genus_bounds import audit_bounds, g4_torus_difference, tau_s_bounds
+from braidtwist.genus_bounds import audit_bounds, tau_s_bounds
 from braidtwist.murasugi import Class1, Class2, Class3, cross_check
 from braidtwist.quasipositive import (
     Syllable,
@@ -32,6 +32,7 @@ from braidtwist.quasipositive import (
     expand,
     qp_report,
 )
+from oracles import g4_torus_difference
 
 
 def random_word(rng, n, length):

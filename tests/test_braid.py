@@ -22,12 +22,8 @@ from braidtwist import (
     positive_braid_genus,
 )
 from braidtwist import braid
-from braidtwist.braid import (
-    _conjugate_split,
-    _full_twist_from,
-    detect_destabilizable,
-    integer,
-)
+from braidtwist.braid import _conjugate_split, _full_twist_from, integer
+from oracles import detect_destabilizable
 
 
 @st.composite
@@ -191,6 +187,29 @@ class TestClosureComponents:
         assert closure_components(BraidWord(n, [])) == n
         assert closure_components(BraidWord(n, [1])) == n - 1
         assert closure_components(BraidWord(n, [3, -2, 1, 5])) == n - 4
+
+    def test_cost_follows_the_word_not_the_highest_index(self):
+        """One letter at index about 3.4e9: a trace of every position up to
+        it would take gigabytes, one of the positions it moves takes bytes."""
+        tracemalloc.start()
+        try:
+            components = closure_components(BraidWord(10**21, [3387215635, -3387215635, 7]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert components == 10**21 - 1
+        assert peak < 2**16
+
+    @given(words(max_strands=8, max_len=30))
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_matches_a_trace_of_every_strand(self, w):
+        strand_at = list(range(w.strands + 1))
+        for g in w.letters:
+            strand_at[abs(g)], strand_at[abs(g) + 1] = strand_at[abs(g) + 1], strand_at[abs(g)]
+        images = [0] * (w.strands + 1)
+        for p in range(1, w.strands + 1):
+            images[strand_at[p]] = p
+        assert permutation(w) == tuple(images[1:])
 
     @given(words())
     @settings(max_examples=60, deadline=None)

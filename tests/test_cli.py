@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import braidtwist.cli as cli
+import braidtwist.genus_bounds as genus_bounds
 import braidtwist.quasipositive as quasipositive
 from braidtwist import BraidWord
 from braidtwist.braid import integer
@@ -21,6 +22,19 @@ from braidtwist.cli import run
 
 def lines(capsys):
     return capsys.readouterr().out.strip().splitlines()
+
+
+def count_fdtc_calls(monkeypatch, *modules):
+    """The list that every fdtc_exact call through the modules appends its
+    arguments to."""
+    calls = []
+    for module in modules:
+        def fdtc_exact(*args, original=module.fdtc_exact, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "fdtc_exact", fdtc_exact)
+    return calls
 
 
 class TestWordCommands:
@@ -125,20 +139,25 @@ class TestQpCommand:
         assert run(["qp", "--strands", "3", "1 | 2"]) == 1
 
     def test_check_computes_the_twist_coefficient_once(self, capsys, monkeypatch):
-        calls = []
-
-        def counting(original):
-            def fdtc_exact(*args, **kwargs):
-                calls.append(args)
-                return original(*args, **kwargs)
-
-            return fdtc_exact
-
-        for module in (cli, quasipositive):
-            monkeypatch.setattr(module, "fdtc_exact", counting(module.fdtc_exact))
+        calls = count_fdtc_calls(monkeypatch, cli, quasipositive)
         assert run(["qp", "--strands", "3", "--check", "2 | 1 | +; | 2 | +"]) == 0
         assert lines(capsys)[-2:] == ["fdtc: 1/3", "bound_check: True"]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("strands, syllables, error", [
+        ("2", " | 1 | +", "at least 3 strands"),
+        ("3", "", "at least one syllable"),
+        ("3", " | 1 | +; | 2 | -", "all-positive"),
+    ])
+    def test_check_refuses_before_the_engine_runs(self, capsys, monkeypatch, strands,
+                                                  syllables, error):
+        calls = count_fdtc_calls(monkeypatch, cli, quasipositive)
+        assert run(["qp", "--strands", strands, "--check", "--", syllables]) == 1
+        assert error in capsys.readouterr().err
+        with pytest.raises(ValueError, match=error):
+            quasipositive.check_qp_bt_bound(quasipositive.parse_syllables(syllables,
+                                                                          int(strands)))
+        assert calls == []
 
 
 class TestBoundsCommand:
@@ -162,6 +181,14 @@ class TestBoundsCommand:
 
     def test_link_with_genus_data_is_an_error(self, capsys):
         assert run(["bounds", "--strands", "3", "--g3", "1", "1 1"]) == 1
+
+    @pytest.mark.parametrize("word, fdtc", [("1 2 1 2", "2/3"), ("1 1", "0")],
+                             ids=["knot", "link"])
+    def test_one_twist_coefficient_per_closure(self, capsys, monkeypatch, word, fdtc):
+        calls = count_fdtc_calls(monkeypatch, cli, genus_bounds)
+        assert run(["bounds", "--strands", "3", "--json", word]) == 0
+        assert json.loads(lines(capsys)[0])["fdtc"] == fdtc
+        assert len(calls) == 1
 
 
 class TestAuditCommand:
@@ -335,6 +362,7 @@ class TestAuditFuzz:
     @example([{"n": 3, "word": 5}])
     @example([{"n": 3, "word": [1, 2], "meta": {"qp_length": [1]}}])
     @example([{"n": 1000000000, "word": [1]}])
+    @example([{"n": 1004327203549560832000, "word": [3387215635]}])
     @given(st.lists(audit_lines, min_size=1, max_size=3))
     def test_every_line_gives_a_record_or_an_error(self, tmp_path_factory, entries):
         path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"

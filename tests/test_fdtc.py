@@ -18,11 +18,10 @@ from braidtwist.fdtc import (
     _power_sign,
     _PowerSearch,
     dehornoy_floor,
-    destab_bounds,
     fdtc_exact,
-    word_sign_bounds,
 )
 from braidtwist.ordering import syntactic_sigma_class
+from oracles import destab_bounds, word_sign_bounds
 
 
 def random_word(rng, n, length):
@@ -695,8 +694,8 @@ class TestWordSignBounds:
 
     def test_consistency_with_exact_value(self):
         rng = random.Random(37)
-        for _ in range(10):
-            w = random_word(rng, 3, 6)
+        for _ in range(30):
+            w = random_word(rng, rng.choice((3, 4)), 6)
             lower_zero, upper_zero = word_sign_bounds(w)
             bt = fdtc_exact(w).value
             if lower_zero:
@@ -716,10 +715,19 @@ class TestDestabBounds:
         assert destab_bounds(garside_delta(3, squared=True)) is None
 
     def test_consistency_with_exact_value(self):
-        for letters in ([1, 1, 2], [1, -2], [1, 1, 1, 2], [-1, -2]):
-            w = BraidWord(3, letters)
+        rng = random.Random(39)
+        words = [BraidWord(3, letters) for letters in ([1, 1, 2], [1, -2], [1, 1, 1, 2], [-1, -2])]
+        for _ in range(30):
+            n = rng.choice((3, 4))
+            w = random_word(rng, n - 1, rng.randint(0, 6))  # the top generator goes in once
+            top = rng.choice((n - 1, 1 - n))
+            words.append(BraidWord(n, w.letters + (top,) + random_word(rng, n - 1, 3).letters))
+        checked = 0
+        for w in words:
             bounds = destab_bounds(w)
             if bounds is None:
                 continue
             lo, hi = bounds
-            assert lo <= fdtc_exact(w).value <= hi
+            assert lo <= fdtc_exact(w).value <= hi, w
+            checked += 1
+        assert checked >= 30

@@ -5,14 +5,8 @@ import pytest
 import braidtwist.fdtc as fdtc
 import braidtwist.genus_bounds as genus_bounds
 from braidtwist import BraidWord, garside_delta
-from braidtwist.genus_bounds import (
-    PREDICATES,
-    audit_bounds,
-    g4_torus_difference,
-    tau_s_bounds,
-    torus_tau,
-    upsilon_at_one,
-)
+from braidtwist.genus_bounds import PREDICATES, audit_bounds, tau_s_bounds
+from oracles import g4_torus_difference, torus_tau, upsilon_at_one
 
 
 class TestTauSBounds:

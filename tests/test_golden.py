@@ -93,6 +93,7 @@ for _name, _line in {
     "expected_floor_padded": '{"n": 3, "word": [1, 2], "meta": {"expected_floor": " 0 "}}',
     "g4_non_ascii_digit": '{"n": 3, "word": [1, 2], "meta": {"g4": "\\u0661"}}',
     "deep_nesting": "[" * 100000,
+    "huge_index": '{"n": 1004327203549560832000, "word": [3387215635]}',
 }.items():
     _case(f"audit_{_name}", ["audit", "{corpus}"], _line + "\n" + _GOOD_LINE)
 

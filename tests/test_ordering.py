@@ -108,22 +108,23 @@ class TestHandleReduce:
         assert handle_reduce(BraidWord(3, [1, -2])).letters == (1, -2)
 
     def test_verify_traces_only_the_strands_the_words_move(self, monkeypatch):
-        """The verify check follows the highest index of either word, not
-        the strand count, and still sees a changed permutation up there."""
+        """The verify check traces the strands the words move, not the
+        strand count, and still sees a changed permutation high up."""
         traced = []
-        trace = ordering._permutation
+        trace = ordering._moved
 
-        def spy(letters, n):
-            traced.append(n)
-            return trace(letters, n)
+        def spy(letters):
+            traced.append(trace(letters))
+            return traced[-1]
 
-        monkeypatch.setattr(ordering, "_permutation", spy)
+        monkeypatch.setattr(ordering, "_moved", spy)
         handle_reduce(BraidWord(200, [1, 2, -1]))
-        assert traced == [3, 3]
-        monkeypatch.setattr(ordering, "_reduce_core", lambda letters, cap: [151])
+        assert traced == [{1: 3, 3: 1}, {1: 3, 3: 1}]
+        monkeypatch.setattr(ordering, "_reduce_core", lambda letters, cap: [10**9 + 1])
         with pytest.raises(RuntimeError, match="permutation"):
-            handle_reduce(BraidWord(200, [150]))
-        assert traced[-2:] == [152, 152]
+            handle_reduce(BraidWord(10**12, [10**9]))
+        assert traced[-2:] == [{10**9: 10**9 + 1, 10**9 + 1: 10**9},
+                               {10**9 + 1: 10**9 + 2, 10**9 + 2: 10**9 + 1}]
 
 
 class TestSweep:

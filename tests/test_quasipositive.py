@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from braidtwist import BraidWord
+from braidtwist import BraidWord, braid
 from braidtwist.fdtc import fdtc_exact
 from braidtwist.quasipositive import (
     Syllable,
@@ -75,6 +74,8 @@ class TestQpReport:
         assert fdtc_exact(expand(s)).value == 0
 
     def test_mixed_sign_bounds(self):
+        """A word with a negative band gets no bound; its exact twist
+        coefficient comes from the engine."""
         s = SyllableWord(
             3,
             (
@@ -84,9 +85,9 @@ class TestQpReport:
             ),
         )
         r = qp_report(s)
-        assert r.syllable_sign_bounds == (Fraction(0), Fraction(1))
         assert not r.all_positive
         assert r.chi4 is None and r.g4 is None and r.bt_upper is None
+        assert fdtc_exact(expand(s)).value == 0
 
     def test_non_knot_closure_reported(self):
         s = SyllableWord(3, (Syllable((), 1, 1), Syllable((), 1, 1)))
@@ -144,3 +145,14 @@ class TestTextForm:
     def test_bad_sign_token(self):
         with pytest.raises(ValueError):
             parse_syllables(" | 1 | x", 3)
+
+    def test_letter_budget_covers_the_whole_expansion(self, monkeypatch):
+        """2|w| + 1 letters per syllable, summed over the syllables, are
+        counted against the budget before the word is expanded."""
+        monkeypatch.setattr(braid, "DEFAULT_STEP_CAP", 100)
+        with pytest.raises(ValueError, match="up to syllable 1 would have 121 letters"):
+            parse_syllables("s1^60 | 1 | +; s2^60 | 1 | +", 3)
+        with pytest.raises(ValueError, match="up to syllable 2 would have 102 letters"):
+            parse_syllables("s1^25 | 1 | +; s2^25 | 1 | +", 3)
+        s = parse_syllables("s1^24 | 1 | +; s2^25 | 1 | +", 3)
+        assert sum(2 * len(syl.conjugator) + 1 for syl in s.syllables) == 100

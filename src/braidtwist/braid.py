@@ -92,8 +92,7 @@ def _plain(text: str) -> bool:
 def integer(text: str) -> int:
     """int(text) for text from outside: an optional sign and ASCII digits,
     nothing else; ValueError otherwise.  Every integer the command line,
-    a word, a syllable, audit meta or BRAIDTWIST_STEP_CAP holds is read
-    here."""
+    a word, a syllable or an audit input holds is read here."""
     if not _plain(text):
         raise ValueError(f"invalid literal for integer: {text!r}")
     return int(text)

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .braid import (
     BraidWord,
-    _plain,
     closure_components,
     exponent_counts,
     format_word,
@@ -34,7 +33,15 @@ from .braid import (
 )
 from .fdtc import dehornoy_floor, fdtc_exact
 from .families import BTtau, FullTwists, Ktd, Torus, generate
-from .genus_bounds import PREDICATES, audit_bounds, tau_s_bounds
+from .genus_bounds import (
+    INPUTS,
+    PREDICATES,
+    _fraction,
+    _integer,
+    audit_bounds,
+    read_inputs,
+    tau_s_bounds,
+)
 from .murasugi import (
     Class1,
     Class2,
@@ -45,13 +52,7 @@ from .murasugi import (
     to_word,
 )
 from .ordering import ReductionCapError, compare, order_sign
-from .quasipositive import (
-    _check_bound_applies,
-    expand,
-    parse_syllables,
-    qp_bt_bound_holds,
-    qp_report,
-)
+from .quasipositive import expand, parse_syllables, qp_bt_check, qp_report
 
 
 def _fraction_text(value) -> str:
@@ -113,15 +114,16 @@ def _cmd_bounds(args) -> None:
     w = parse_word(args.word, args.strands)
     components = closure_components(w)
     report: dict = {"strands": w.strands, "knot": components == 1}
-    audit_kwargs = _audit_kwargs({k: v for k, v in vars(args).items() if v is not None})
+    inputs = {key: getattr(args, key) for key in INPUTS if getattr(args, key) is not None}
     if components == 1:
         b = tau_s_bounds(w)
         report["tau"] = [b.tau_lo, b.tau_hi]
         report["s"] = [b.s_lo, b.s_hi]
         # Adds floor, fdtc and predicates; strands is already there.
-        report.update(audit_bounds(w, predicates=args.predicates, cap=args.cap, **audit_kwargs))
+        report.update(audit_bounds(w, predicates=args.predicates, cap=args.cap, **inputs))
         lines = [f"tau in [{b.tau_lo}, {b.tau_hi}]", f"s in [{b.s_lo}, {b.s_hi}]"]
-    elif audit_kwargs or args.predicates is not None:
+    elif inputs or args.predicates is not None:
+        read_inputs(inputs)  # a bad value is reported first, as audit_bounds does
         raise ValueError("genus and concordance predicates need a knot closure")
     else:
         r = fdtc_exact(w, cap=args.cap)
@@ -136,13 +138,11 @@ def _cmd_bounds(args) -> None:
 
 def _cmd_qp(args) -> None:
     s = parse_syllables(args.syllables, args.strands)
-    r = qp_report(s)
     word = expand(s)
-    report = {"strands": s.strands, **dataclasses.asdict(r), "expanded": format_word(word)}
+    report = {"strands": s.strands, **dataclasses.asdict(qp_report(s, word)),
+              "expanded": format_word(word)}
     if args.check:
-        _check_bound_applies(s)  # before the engine runs
-        report["fdtc"] = fdtc_exact(word, cap=args.cap).value
-        report["bound_check"] = qp_bt_bound_holds(s, report["fdtc"])
+        report["fdtc"], report["bound_check"] = qp_bt_check(s, word, cap=args.cap)
     _emit(args, report, "\n".join(f"{key}: {value}" for key, value in report.items()))
 
 
@@ -185,56 +185,6 @@ def _cmd_family(args) -> None:
                  "letters": list(w.letters)}, text)
 
 
-def _fraction(key: str, value) -> Fraction:
-    if type(value) is not str or _plain(value):
-        try:
-            return Fraction(str(value))
-        except ZeroDivisionError:
-            raise ValueError(f"{key} has a zero denominator: {value!r}") from None
-        except ValueError:
-            pass
-    raise ValueError(f"{key} must be a rational number, got {json.dumps(value)}")
-
-
-def _integer(key: str, value) -> int:
-    # int() alone would truncate 1.5 and true to 1, and raise TypeError on null or [1].
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    if type(value) is str:
-        try:
-            return integer(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
-
-
-def _boolean(key: str, value) -> bool | None:
-    # Truthiness would read the string "false" as yes; null means not supplied.
-    if value is None or type(value) is bool:
-        return value
-    raise ValueError(f"{key} must be true, false or null, got {json.dumps(value)}")
-
-
-# The audit_bounds inputs, in the order they are read (so the first bad one
-# is the one reported), each with its reader.
-_AUDIT_INPUTS = {
-    "g3": _fraction,
-    "g4": _fraction,
-    "g4_upper": _fraction,
-    "finite_concordance_order": _boolean,
-    "qp_length": _integer,
-}
-
-
-def _audit_kwargs(supplied) -> dict:
-    """audit_bounds keyword arguments from the bounds options that were given
-    or from a corpus line's meta object; keys that are not inputs are ignored.
-    """
-    return {
-        key: read(key, supplied[key]) for key, read in _AUDIT_INPUTS.items() if key in supplied
-    }
-
-
 def _audit_one(entry: dict, predicates, cap) -> dict:
     if not isinstance(entry, dict):
         raise ValueError("corpus entry must be a JSON object")
@@ -247,7 +197,8 @@ def _audit_one(entry: dict, predicates, cap) -> dict:
     meta = entry.get("meta") or {}
     if not isinstance(meta, dict):
         raise ValueError("meta must be a JSON object")
-    record = audit_bounds(w, predicates=predicates, cap=cap, **_audit_kwargs(meta))
+    inputs = {key: meta[key] for key in INPUTS if key in meta}  # other keys are ignored
+    record = audit_bounds(w, predicates=predicates, cap=cap, **inputs)
     record["word"] = list(w.letters)
     expected = {}
     for key, read in (("floor", _integer), ("fdtc", _fraction)):

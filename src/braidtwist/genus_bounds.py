@@ -17,15 +17,21 @@ PREDICATES lists the rows in table order:
               concordance order
   qp          0 <= BT <= m - 1 for quasipositive words of m bands,
               plus the question15 form when g4 is also supplied
+
+INPUTS, a second table, names the five inputs the predicates read (g3,
+g4, g4_upper, finite_concordance_order, qp_length), each with its
+reader: audit_bounds reads every value through it, whether a library
+caller supplies it or the CLI passes a bounds flag or corpus meta.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .braid import BraidWord, closure_components, exponent_counts
+from .braid import BraidWord, _plain, closure_components, exponent_counts, integer
 # dehornoy_floor is not called here; bench/spans.py wraps it under this module's name.
 from .fdtc import dehornoy_floor, fdtc_exact  # noqa: F401
 
@@ -58,9 +64,61 @@ def tau_s_bounds(w: BraidWord) -> InvariantBounds:
     )
 
 
+def _fraction(key: str, value) -> Fraction:
+    if type(value) is not str or _plain(value):
+        try:
+            return Fraction(str(value))
+        except ZeroDivisionError:
+            raise ValueError(f"{key} has a zero denominator: {value!r}") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be a rational number, got {json.dumps(value, default=repr)}")
+
+
+def _integer(key: str, value) -> int:
+    # int() alone would truncate 1.5 and true to 1, and raise TypeError on null or [1].
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    if type(value) is str:
+        try:
+            return integer(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {json.dumps(value, default=repr)}")
+
+
+def _boolean(key: str, value) -> bool | None:
+    # Truthiness would read the string "false" as yes; null means not supplied.
+    if value is None or type(value) is bool:
+        return value
+    raise ValueError(
+        f"{key} must be true, false or null, got {json.dumps(value, default=repr)}"
+    )
+
+
+# The audit inputs, in the order they are read (so the first bad one is the
+# one reported), each with its reader.
+INPUTS = {
+    "g3": _fraction,
+    "g4": _fraction,
+    "g4_upper": _fraction,
+    "finite_concordance_order": _boolean,
+    "qp_length": _integer,
+}
+
+
+def read_inputs(supplied: dict) -> dict:
+    """Every INPUTS key, its value in supplied read by its reader, or None
+    if supplied lacks it; other keys of supplied are ignored."""
+    return {
+        key: read(key, supplied[key]) if key in supplied else None
+        for key, read in INPUTS.items()
+    }
+
+
 def _ito(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
-    g3 = Fraction(values["g3"])
-    floor_bound = Fraction(4 * g3 - 2, n + 2) + Fraction(3, 2)
+    g3 = values["g3"]
+    floor_bound = (4 * g3 - 2) / (n + 2) + Fraction(3, 2)
     bt_bound = g3 + 2
     ok = abs(floor) < floor_bound and abs(bt) <= bt_bound
     return ("pass" if ok else "fail"), {"g3": g3, "floor_bound": floor_bound, "bt_bound": bt_bound}
@@ -68,7 +126,7 @@ def _ito(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
 
 def _question15(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
     g4_is_upper = values["g4"] is None
-    g4 = Fraction(values["g4_upper"] if g4_is_upper else values["g4"])
+    g4 = values["g4_upper"] if g4_is_upper else values["g4"]
     bound = 2 * g4 + n - 2
     status = "pass" if abs(bt) <= bound else "counterexample-candidate"
     return status, {"g4": g4, "g4_is_upper": g4_is_upper, "bound": bound}
@@ -94,7 +152,7 @@ def _qp(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
     ok = 0 <= bt <= upper
     details = {"qp_length": m, "bound": upper}
     if values["g4"] is not None:
-        details["genus_bound"] = 2 * Fraction(values["g4"]) + n - 2
+        details["genus_bound"] = 2 * values["g4"] + n - 2
         ok = ok and bt <= details["genus_bound"]
     return ("pass" if ok else "fail"), details
 
@@ -120,16 +178,16 @@ PREDICATES = tuple(_TABLE)
 def audit_bounds(
     w: BraidWord,
     *,
-    g3=None,
-    g4=None,
-    g4_upper=None,
-    finite_concordance_order: bool | None = None,
-    qp_length: int | None = None,
     predicates: list[str] | tuple[str, ...] | None = None,
     cap: int | None = None,
+    **inputs,
 ) -> dict:
     """Evaluate the bound predicates against the floor and BT of one fdtc_exact call.
 
+    The inputs are INPUTS keywords, each read by its reader before
+    anything else is checked, so the values accepted are those that
+    `braidtwist audit` accepts in corpus meta.  None is an error except
+    for finite_concordance_order, where it means not supplied.
     With predicates=None, every predicate whose inputs were supplied is
     evaluated; explicitly requesting one without its inputs is an error.
     Every input is validated before the floor and BT are computed.
@@ -138,17 +196,14 @@ def audit_bounds(
     rather than fail: the bound is an open question, and a braid
     violating it is a discovery to report, not a broken invariant.
     """
+    unknown = sorted(inputs.keys() - INPUTS.keys())
+    if unknown:
+        raise TypeError(f"audit_bounds() got an unexpected keyword argument {unknown[0]!r}")
+    values = read_inputs(inputs)
     if closure_components(w) != 1:
         raise ValueError("closure is not a knot")
-    values = {
-        "g3": g3,
-        "g4": g4,
-        "g4_upper": g4_upper,
-        "finite_concordance_order": finite_concordance_order,
-        "qp_length": qp_length,
-    }
     for key in ("g3", "g4", "g4_upper"):
-        if values[key] is not None and Fraction(values[key]) < 0:
+        if values[key] is not None and values[key] < 0:
             raise ValueError(f"{key} must be nonnegative, got {values[key]}")
     supplied = [
         name for name, p in _TABLE.items() if any(values[k] is not None for k in p.inputs)

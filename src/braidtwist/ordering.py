@@ -42,7 +42,6 @@ a splice costs O(interior) and a sweep holds only the current letters.
 from __future__ import annotations
 
 import enum
-import os
 
 from .braid import (
     DEFAULT_STEP_CAP,
@@ -50,7 +49,6 @@ from .braid import (
     _free_reduce_letters,
     _moved,
     exponent_counts,
-    integer,
 )
 
 
@@ -68,8 +66,6 @@ class ReductionCapError(RuntimeError):
     """
 
 
-STEP_CAP_ENV = "BRAIDTWIST_STEP_CAP"
-
 # When set, every handle_reduce call double-checks that the exponent sum
 # and the underlying permutation survived the rewrite.  The test suite
 # turns this on globally.
@@ -77,21 +73,11 @@ VERIFY_REDUCTIONS = False
 
 
 def _effective_cap(cap: int | None) -> int:
-    """cap, else the BRAIDTWIST_STEP_CAP value, else DEFAULT_STEP_CAP;
-    ValueError unless the one chosen is a nonnegative integer."""
-    if cap is not None:
-        if cap < 0:
-            raise ValueError(f"step cap must be nonnegative, got {cap}")
-        return cap
-    text = os.environ.get(STEP_CAP_ENV)
-    if text is None:
+    """cap, else DEFAULT_STEP_CAP; ValueError if cap is negative."""
+    if cap is None:
         return DEFAULT_STEP_CAP
-    try:
-        cap = integer(text)
-    except ValueError:
-        cap = -1
     if cap < 0:
-        raise ValueError(f"{STEP_CAP_ENV} must be a nonnegative integer, got {text!r}")
+        raise ValueError(f"step cap must be nonnegative, got {cap}")
     return cap
 
 

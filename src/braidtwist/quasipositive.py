@@ -4,9 +4,10 @@ A syllable word is a product of conjugated generators
 (w_1 sigma_{i_1} w_1^{-1})^{e_1} ... (w_m sigma_{i_m} w_m^{-1})^{e_m}.
 All-positive syllable words are exactly the quasipositive braids; for
 those, m bands give chi_4 = n - m for the closure surface and the twist
-coefficient is trapped in [0, m-1], which check_qp_bt_bound verifies
-with the engine.  A word with a negative band gets no bound here: its
-exact twist coefficient is fdtc_exact of the expanded word.
+coefficient is trapped in [0, m-1], which qp_bt_check and
+check_qp_bt_bound verify with the engine.  A word with a negative band
+gets no bound here: its exact twist coefficient is fdtc_exact of the
+expanded word.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from fractions import Fraction
 from .braid import (
     BraidWord,
     _check_length,
+    _free_reduce_letters,
     closure_components,
     format_word,
-    free_reduce,
     integer,
     parse_word,
 )
@@ -36,10 +37,10 @@ class Syllable:
 
     def __post_init__(self):
         object.__setattr__(self, "conjugator", tuple(self.conjugator))
-        if self.generator < 1:
-            raise ValueError(f"generator index must be positive, got {self.generator}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if type(self.generator) is not int or self.generator < 1:
+            raise ValueError(f"generator index must be a positive integer, got {self.generator!r}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,19 @@ class SyllableWord:
     syllables: tuple[Syllable, ...]
 
     def __post_init__(self):
+        # With Syllable's checks, every letter is an int in range, so expand
+        # builds its word unchecked.
         object.__setattr__(self, "syllables", tuple(self.syllables))
-        if self.strands < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.strands}")
+        if type(self.strands) is not int or self.strands < 2:
+            raise ValueError(f"strand count must be an integer >= 2, got {self.strands!r}")
+        top = self.strands - 1
         for s in self.syllables:
-            if s.generator > self.strands - 1:
-                raise ValueError(
-                    f"generator {s.generator} invalid for {self.strands} strands"
-                )
+            if s.generator > top:
+                raise ValueError(f"generator {s.generator} invalid for {self.strands} strands")
             for g in s.conjugator:
-                if g == 0 or abs(g) > self.strands - 1:
+                if type(g) is not int or not 1 <= abs(g) <= top:
                     raise ValueError(
-                        f"conjugator letter {g} invalid for {self.strands} strands"
+                        f"conjugator letter {g!r} invalid for {self.strands} strands"
                     )
 
     def __len__(self) -> int:
@@ -90,15 +92,16 @@ def expand(s: SyllableWord) -> BraidWord:
         letters.extend(syl.conjugator)
         letters.append(syl.sign * syl.generator)
         letters.extend(-g for g in reversed(syl.conjugator))
-    return free_reduce(BraidWord(s.strands, letters))
+    return BraidWord._unchecked(s.strands, tuple(_free_reduce_letters(letters)))
 
 
-def qp_report(s: SyllableWord) -> QpReport:
-    """Structural bounds for a syllable word; nothing here reduces words."""
+def qp_report(s: SyllableWord, word: BraidWord | None = None) -> QpReport:
+    """Structural bounds for a syllable word; nothing here reduces words.
+    word, if given, is expand(s), so a caller that needs both expands once."""
     n = s.strands
     m = len(s.syllables)
     all_positive = m > 0 and all(syl.sign > 0 for syl in s.syllables)
-    knot = closure_components(expand(s)) == 1
+    knot = closure_components(expand(s) if word is None else word) == 1
     chi4 = n - m if all_positive else None
     g4 = Fraction(m - n + 1, 2) if all_positive and knot else None
     return QpReport(
@@ -112,33 +115,29 @@ def qp_report(s: SyllableWord) -> QpReport:
 
 
 def check_qp_bt_bound(s: SyllableWord, *, cap: int | None = None) -> bool:
-    """Verify 0 <= BT <= m-1 on an all-positive syllable word, BT from the
-    engine, which runs only once s meets the bound's hypotheses."""
-    _check_bound_applies(s)
-    return qp_bt_bound_holds(s, fdtc_exact(expand(s), cap=cap).value)
+    """Verify 0 <= BT <= m-1 on an all-positive syllable word (qp_bt_check)."""
+    return qp_bt_check(s, cap=cap)[1]
 
 
-def _check_bound_applies(s: SyllableWord) -> None:
-    """ValueError unless s is an all-positive syllable word on at least 3
-    strands, the words the bound of qp_bt_bound_holds is a theorem for."""
+def qp_bt_check(
+    s: SyllableWord, word: BraidWord | None = None, *, cap: int | None = None
+) -> tuple[Fraction, bool]:
+    """BT of s from the engine, run on word (expand(s) if not given), and
+    whether it lies in [0, m-1].
+
+    ValueError before the engine runs unless s is an all-positive syllable
+    word on at least 3 strands.  The bound is a theorem for those, so
+    False is an engine bug, not a property of the input.  B_2 is excluded:
+    BT(sigma_1) = 1/2 there, which already breaks the m = 1 case.
+    """
     if s.strands < 3:
         raise ValueError("the syllable bound needs at least 3 strands")
     if not s.syllables:
         raise ValueError("need at least one syllable")
     if any(syl.sign != 1 for syl in s.syllables):
         raise ValueError("the syllable bound needs an all-positive word")
-
-
-def qp_bt_bound_holds(s: SyllableWord, bt: Fraction) -> bool:
-    """Whether bt, the twist coefficient of s, lies in [0, m-1].
-
-    s must be an all-positive syllable word on at least 3 strands.  The
-    bound is a theorem for n >= 3, so False is an engine bug, not a
-    property of the input.  B_2 is excluded: BT(sigma_1) = 1/2 there,
-    which already breaks the m = 1 case.
-    """
-    _check_bound_applies(s)
-    return 0 <= bt <= len(s.syllables) - 1
+    bt = fdtc_exact(expand(s) if word is None else word, cap=cap).value
+    return bt, 0 <= bt <= len(s.syllables) - 1
 
 
 def parse_syllables(text: str, strands: int) -> SyllableWord:

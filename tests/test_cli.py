@@ -24,16 +24,16 @@ def lines(capsys):
     return capsys.readouterr().out.strip().splitlines()
 
 
-def count_fdtc_calls(monkeypatch, *modules):
-    """The list that every fdtc_exact call through the modules appends its
-    arguments to."""
+def count_calls(monkeypatch, name, *modules):
+    """The list that every call of the function name through the modules
+    appends its arguments to."""
     calls = []
     for module in modules:
-        def fdtc_exact(*args, original=module.fdtc_exact, **kwargs):
+        def spy(*args, original=getattr(module, name), **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "fdtc_exact", fdtc_exact)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -139,9 +139,17 @@ class TestQpCommand:
         assert run(["qp", "--strands", "3", "1 | 2"]) == 1
 
     def test_check_computes_the_twist_coefficient_once(self, capsys, monkeypatch):
-        calls = count_fdtc_calls(monkeypatch, cli, quasipositive)
+        calls = count_calls(monkeypatch, "fdtc_exact", cli, quasipositive)
         assert run(["qp", "--strands", "3", "--check", "2 | 1 | +; | 2 | +"]) == 0
         assert lines(capsys)[-2:] == ["fdtc: 1/3", "bound_check: True"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_syllables_are_expanded_once(self, capsys, monkeypatch, check):
+        """The report, its expanded field and the engine share one expansion."""
+        calls = count_calls(monkeypatch, "expand", cli, quasipositive)
+        assert run(["qp", "--strands", "3", "--json", *check, "2 | 1 | +; | 2 | +"]) == 0
+        assert json.loads(lines(capsys)[0])["expanded"] == "2 1"
         assert len(calls) == 1
 
     @pytest.mark.parametrize("strands, syllables, error", [
@@ -151,7 +159,7 @@ class TestQpCommand:
     ])
     def test_check_refuses_before_the_engine_runs(self, capsys, monkeypatch, strands,
                                                   syllables, error):
-        calls = count_fdtc_calls(monkeypatch, cli, quasipositive)
+        calls = count_calls(monkeypatch, "fdtc_exact", cli, quasipositive)
         assert run(["qp", "--strands", strands, "--check", "--", syllables]) == 1
         assert error in capsys.readouterr().err
         with pytest.raises(ValueError, match=error):
@@ -185,7 +193,7 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("word, fdtc", [("1 2 1 2", "2/3"), ("1 1", "0")],
                              ids=["knot", "link"])
     def test_one_twist_coefficient_per_closure(self, capsys, monkeypatch, word, fdtc):
-        calls = count_fdtc_calls(monkeypatch, cli, genus_bounds)
+        calls = count_calls(monkeypatch, "fdtc_exact", cli, genus_bounds)
         assert run(["bounds", "--strands", "3", "--json", word]) == 0
         assert json.loads(lines(capsys)[0])["fdtc"] == fdtc
         assert len(calls) == 1
@@ -263,6 +271,27 @@ class TestAuditCommand:
         out = [json.loads(line) for line in lines(capsys)]
         assert out[0]["predicates"] == []
         assert [p["status"] for p in out[1]["predicates"]] == ["skipped"]
+
+    @pytest.mark.parametrize("value", ["false", 1, 1.5, True, "1_0", " 1 ", "\u0661", "1/0",
+                                       -1, 0, 0.1])
+    @pytest.mark.parametrize("key", list(genus_bounds.INPUTS))
+    def test_library_and_corpus_read_inputs_alike(self, capsys, monkeypatch, key, value):
+        """A value passed to audit_bounds and the same value in corpus meta
+        give the same record or the same error message."""
+        line = {"n": 3, "word": [1, -2], "meta": {key: value}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(line) + "\n"))
+        run(["audit", "--json"])
+        from_corpus = json.loads(lines(capsys)[0])
+        try:
+            record = genus_bounds.audit_bounds(BraidWord(3, [1, -2]), **{key: value})
+        except ValueError as e:
+            assert from_corpus == {"line": 1, "error": str(e)}
+            return
+        assert from_corpus == {"line": 1, **json.loads(json.dumps(record, default=str)),
+                               "word": [1, -2]}
+        if value == 0.1:
+            (entry,) = from_corpus["predicates"]
+            assert entry[key.removesuffix("_upper")] == "1/10"
 
     def test_huge_strand_count_is_an_error_record(self, tmp_path, capsys):
         path = self.corpus(tmp_path, '{"n": 1000000000, "word": [1]}\n')

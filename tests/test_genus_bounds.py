@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,25 @@ class TestAuditBounds:
             record = audit_bounds(BraidWord(3, letters), g3=3)
             assert len(searches) == 1
             assert record["floor"] == fdtc.dehornoy_floor(BraidWord(3, letters)).floor
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"finite_concordance_order": "false"},
+         'finite_concordance_order must be true, false or null, got "false"'),
+        ({"qp_length": 1.5}, "qp_length must be an integer, got 1.5"),
+        ({"qp_length": True}, "qp_length must be an integer, got true"),
+        ({"g3": True}, "g3 must be a rational number, got true"),
+        ({"g4": "1_0"}, 'g4 must be a rational number, got "1_0"'),
+        ({"g3": None}, "g3 must be a rational number, got null"),
+    ])
+    def test_inputs_are_read_as_the_cli_reads_them(self, kwargs, message):
+        """The CLI's readers and messages, and before the knot check."""
+        for w in (BraidWord(3, [1, 2]), garside_delta(3, squared=True)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                audit_bounds(w, **kwargs)
+
+    def test_unknown_input_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'g5'"):
+            audit_bounds(BraidWord(3, [1, 2]), g5=1)
 
     def test_predicate_registry(self):
         assert PREDICATES == ("ito", "question15", "slice3", "qp")

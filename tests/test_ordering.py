@@ -1,13 +1,11 @@
 import hashlib
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidtwist.dynnikov as dynnikov
-import braidtwist.fdtc as fdtc
 import braidtwist.ordering as ordering
 from braidtwist import (
     BraidWord,
@@ -20,7 +18,7 @@ from braidtwist import (
     permutation,
 )
 from braidtwist.braid import _free_reduce_letters, exponent_counts
-from braidtwist.ordering import DEFAULT_STEP_CAP, STEP_CAP_ENV, syntactic_sigma_class
+from braidtwist.ordering import DEFAULT_STEP_CAP, syntactic_sigma_class
 
 
 def random_word(rng, n, length):
@@ -243,32 +241,3 @@ class TestStepCap:
         w = random_word(rng, 4, 40)
         with pytest.raises(ReductionCapError):
             handle_reduce(w, cap=1)
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv(STEP_CAP_ENV, "1")
-        rng = random.Random(2)
-        w = random_word(rng, 4, 40)
-        with pytest.raises(ReductionCapError):
-            handle_reduce(w)
-
-    def test_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(STEP_CAP_ENV, "1")
-        rng = random.Random(2)
-        w = random_word(rng, 4, 40)
-        out = handle_reduce(w, cap=DEFAULT_STEP_CAP)
-        assert syntactic_sigma_class(out) is not None or len(out) == 0
-
-    @pytest.mark.parametrize("value", ["-5", "1.5", "x", "1_0", " 5 ", "\u0665"])
-    def test_invalid_env_value(self, monkeypatch, value):
-        """A bad BRAIDTWIST_STEP_CAP is named in one ValueError before any
-        search work, whether or not the word needs a sweep."""
-        monkeypatch.setenv(STEP_CAP_ENV, value)
-        message = f"{STEP_CAP_ENV} must be a nonnegative integer, got '{value}'"
-        with monkeypatch.context() as patch:
-            patch.setattr(fdtc, "_PowerSearch", None)
-            for function in (fdtc.fdtc_exact, fdtc.dehornoy_floor):
-                with pytest.raises(ValueError, match=re.escape(message)):
-                    function(BraidWord(3, [1, 2]))
-        for letters in ([1, 2, -1], [1, 2]):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                handle_reduce(BraidWord(3, letters))

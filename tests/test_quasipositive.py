@@ -55,6 +55,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             SyllableWord(3, (Syllable((), 1, 2),))
 
+    @pytest.mark.parametrize("strands, conjugator, generator, sign", [
+        (3.0, (), 1, 1), (True, (), 1, 1), (3, (1.0,), 1, 1), (3, (True,), 1, 1),
+        (3, (), 1.0, 1), (3, (), "1", 1), (3, (), 1, 1.0),
+    ])
+    def test_every_letter_is_an_int(self, strands, conjugator, generator, sign):
+        """expand builds its word unchecked, so a letter that is not an int
+        is refused when the syllable word is built."""
+        with pytest.raises(ValueError):
+            SyllableWord(strands, (Syllable(conjugator, generator, sign),))
+
 
 class TestQpReport:
     def test_two_positive_bands(self):

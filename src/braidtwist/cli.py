@@ -10,14 +10,17 @@ report is printed as one JSON object per result; `audit` emits
 JSON-lines, one record per corpus entry, in input order, then a
 summary.  Rationals are serialized as exact fraction strings ("2/3",
 "-1/2", "3") and round-trip through Fraction().
+`audit` reads its corpus, a file or stdin alike, as bytes split at "\n"
+only, decodes each line as strict UTF-8 and skips lines of ASCII
+whitespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
-import io
 import json
 import os
 import sys
@@ -194,7 +197,8 @@ def _audit_one(entry: dict, predicates, cap) -> dict:
     except KeyError as missing:
         raise ValueError(f"corpus entry lacks required key {missing}") from None
     w = BraidWord(n, letters)
-    meta = entry.get("meta") or {}
+    meta = entry.get("meta")
+    meta = {} if meta in (None, [], "") else meta  # null or an empty value is no meta
     if not isinstance(meta, dict):
         raise ValueError("meta must be a JSON object")
     inputs = {key: meta[key] for key in INPUTS if key in meta}  # other keys are ignored
@@ -210,30 +214,27 @@ def _audit_one(entry: dict, predicates, cap) -> dict:
     return record
 
 
-def _entry(line: str):
-    """The JSON value of one corpus line.  The corpus is read with
-    surrogate escapes, so a line that is not UTF-8 fails here, alone, with
-    the first byte that is not; so does a line that nests too deeply."""
+def _entry(line: bytes):
+    """The JSON value of one corpus line.  A line that is not UTF-8 fails
+    here, alone, with the first byte that is not; so does a line that
+    nests too deeply."""
     try:
-        return json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+        return json.loads(line.decode("utf-8"))
     except RecursionError:
         raise ValueError("JSON nests too deeply") from None
 
 
 def _cmd_audit(args) -> int:
+    stdin = getattr(sys.stdin, "buffer", None)  # None if `<&-` closed stdin, or text-only
     if args.corpus != "-":
-        stream = open(args.corpus, encoding="utf-8", errors="surrogateescape")
-    elif sys.stdin is None:  # the process was started with stdin closed
-        raise OSError("standard input is closed; name a corpus file")
-    elif hasattr(sys.stdin, "buffer"):
-        # UTF-8 whatever the locale; lines end at "\n", as sys.stdin's do.
-        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",
-                                  errors="surrogateescape", newline="\n")
-    else:  # a text stream, such as io.StringIO
-        stream = sys.stdin
+        source = open(args.corpus, "rb")
+    elif stdin is None:
+        raise OSError("standard input is closed or not a byte stream; name a corpus file")
+    else:
+        source = contextlib.nullcontext(stdin)  # stdin stays open
     counts = {"entries": 0, "errors": 0, "pass": 0, "fail": 0,
               "counterexample-candidate": 0, "skipped": 0, "mismatches": 0}
-    try:
+    with source as stream:
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
                 continue
@@ -257,11 +258,6 @@ def _cmd_audit(args) -> int:
                 for key, check in record.get("expected", {}).items()
             ]
             _emit(args, record, f"line {lineno}: " + " ".join(parts))
-    finally:
-        if args.corpus != "-":
-            stream.close()
-        elif stream is not sys.stdin:
-            stream.detach()  # sys.stdin keeps its buffer open
     _emit(args, {"summary": counts}, (
         f"audited {counts['entries']} entries: {counts['pass']} pass, "
         f"{counts['fail']} fail, {counts['counterexample-candidate']} "

@@ -99,9 +99,9 @@ def syntactic_sigma_class(w: BraidWord) -> tuple[int, int] | None:
     return _sigma_class(w.letters)
 
 
-def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int, int]:
+def _scan_once(letters: list[int], cap: int) -> tuple[list[int], int]:
     """One exact sweep, reducing every handle as it closes; returns (new
-    letters, number of reductions, updated step count)."""
+    letters, number of reductions), at most cap reductions."""
     done: list[int] = []  # the letters read so far
     todo = letters[::-1]  # the letters still to read, the next one last
     # Stack cells are (position in done, index, below, before): before is
@@ -119,10 +119,9 @@ def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int
         if top[1] == i and done[o] == -g:
             # A handle closes here.  Everything popped above sits inside
             # it and is read again once the interior is rewritten.
-            steps += 1
-            if steps > cap:
-                raise ReductionCapError(f"handle reduction exceeded the {cap}-step cap")
             reductions += 1
+            if reductions > cap:
+                raise ReductionCapError(f"handle reduction exceeded the {cap}-step cap")
             # Push the interior back to be read, rewritten: each
             # sigma_(i+1)^d becomes sigma_(i+1)^-e sigma_i^d sigma_(i+1)^e,
             # letters of index > i+1 stay, and the opener and the closer go.
@@ -145,7 +144,7 @@ def _scan_once(letters: list[int], cap: int, steps: int) -> tuple[list[int], int
                 top = top[2]
             stack = (len(done), i, top, stack)
             done.append(g)
-    return done, reductions, steps
+    return done, reductions
 
 
 def _reduce_core(letters, cap: int) -> list[int]:
@@ -155,7 +154,7 @@ def _reduce_core(letters, cap: int) -> list[int]:
     word = _free_reduce_letters(letters)
     if not word or _sigma_class(word) is not None:
         return word
-    word = _scan_once(word, cap, 0)[0]
+    word = _scan_once(word, cap)[0]
     if word and _sigma_class(word) is None:
         raise RuntimeError(
             "a sweep left a word that is neither empty nor sigma-definite (engine bug)"

@@ -272,6 +272,23 @@ class TestAuditCommand:
         assert out[0]["predicates"] == []
         assert [p["status"] for p in out[1]["predicates"]] == ["skipped"]
 
+    @pytest.mark.parametrize("meta, no_meta", [
+        ("null", True), ("{}", True), ("[]", True), ('""', True),
+        ("false", False), ("0", False), ("true", False), ("1", False), ('"x"', False),
+        ("[1]", False),
+    ])
+    def test_meta_is_an_object_or_an_empty_value(self, tmp_path, capsys, meta, no_meta):
+        """null, {}, [] and "" are no meta, read by value, not truthiness;
+        any other value that is not an object is an error record."""
+        path = self.corpus(tmp_path, '{"n": 3, "word": [1, 2]}\n'
+                                     f'{{"n": 3, "word": [1, 2], "meta": {meta}}}\n')
+        assert run(["audit", "--json", path]) == (0 if no_meta else 1)
+        without, given = [json.loads(line) for line in lines(capsys)[:2]]
+        if no_meta:
+            assert given == {**without, "line": 2}
+        else:
+            assert given == {"line": 2, "error": "meta must be a JSON object"}
+
     @pytest.mark.parametrize("value", ["false", 1, 1.5, True, "1_0", " 1 ", "\u0661", "1/0",
                                        -1, 0, 0.1])
     @pytest.mark.parametrize("key", list(genus_bounds.INPUTS))
@@ -279,7 +296,8 @@ class TestAuditCommand:
         """A value passed to audit_bounds and the same value in corpus meta
         give the same record or the same error message."""
         line = {"n": 3, "word": [1, -2], "meta": {key: value}}
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(line) + "\n"))
+        stdin = io.TextIOWrapper(io.BytesIO(json.dumps(line).encode() + b"\n"))
+        monkeypatch.setattr("sys.stdin", stdin)
         run(["audit", "--json"])
         from_corpus = json.loads(lines(capsys)[0])
         try:
@@ -328,7 +346,7 @@ class TestAuditCommand:
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "sys.stdin", io.StringIO('{"n": 3, "word": [1, -2], "meta": {}}\n')
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(b'{"n": 3, "word": [1, -2], "meta": {}}\n'))
         )
         assert run(["audit", "--json"]) == 0
         out = [json.loads(line) for line in lines(capsys)]
@@ -337,6 +355,40 @@ class TestAuditCommand:
     def test_missing_file(self, capsys):
         assert run(["audit", "/no/such/corpus.jsonl"]) == 1
         assert "error" in capsys.readouterr().err
+
+    GOOD = b'{"n": 3, "word": [1, 2], "meta": {"expected_fdtc": "1/3"}}'
+    # name -> (corpus bytes, exit code).  A line ends at "\n" only and is
+    # skipped only if it holds nothing but ASCII whitespace.
+    PARITY_CASES = {
+        "lf": (GOOD + b"\n" + GOOD + b"\n", 0),
+        "crlf": (GOOD + b"\r\n" + GOOD + b"\r\n", 0),
+        "stray_cr": (b'{"n": 3,\r "word": [1, 2]}\n', 0),
+        "cr_separated": (GOOD + b"\r" + GOOD + b"\r" + GOOD + b"\n", 1),
+        "no_final_newline": (GOOD + b"\n" + GOOD, 0),
+        "blank": (b"\n" + GOOD + b"\n\n", 0),
+        "ascii_whitespace": (b" \t\r\n" + GOOD + b"\n\x0b\x0c\n", 0),
+        "nbsp": (GOOD + b"\n\xc2\xa0\n" + GOOD + b"\n", 1),
+        "not_utf8": (GOOD + b"\n\xff\n" + GOOD + b"\n", 1),
+        "utf8_bom": (b"\xef\xbb\xbf" + GOOD + b"\n" + GOOD + b"\n", 1),
+    }
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("name", sorted(PARITY_CASES))
+    def test_file_and_stdin_read_alike(self, tmp_path, name, flags):
+        """`audit FILE` and `audit < FILE`, each through main() in a fresh
+        process, print the same bytes and exit alike."""
+        data, code = self.PARITY_CASES[name]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(data)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        argv = [sys.executable, "-m", "braidtwist.cli", "audit", *flags]
+        via_file = subprocess.run(argv + [str(corpus)], capture_output=True, env=env, timeout=120)
+        with corpus.open("rb") as stdin:
+            via_stdin = subprocess.run(argv, stdin=stdin, capture_output=True, env=env,
+                                       timeout=120)
+        assert via_file.stdout == via_stdin.stdout
+        assert via_file.returncode == via_stdin.returncode == code
+        assert via_file.stderr == via_stdin.stderr == b""
 
     @pytest.mark.parametrize(
         "via, io_encoding",
@@ -537,6 +589,14 @@ class TestExitCodes:
         """With stdin closed, as `audit <&-` leaves it (sys.stdin is None),
         audit prints one error line and exits 1."""
         monkeypatch.setattr("sys.stdin", None)
+        assert run(["audit"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_text_only_stdin(self, capsys, monkeypatch):
+        """A stdin with no byte buffer is refused like a closed one: the
+        corpus is read as bytes only."""
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"n": 3, "word": [1, 2]}\n'))
         assert run(["audit"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1

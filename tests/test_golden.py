@@ -97,6 +97,9 @@ for _name, _line in {
 }.items():
     _case(f"audit_{_name}", ["audit", "{corpus}"], _line + "\n" + _GOOD_LINE)
 
+# A CR inside a line is JSON whitespace: one record, not two error records.
+_case("audit_stray_cr", ["audit", "{corpus}"], '{"n": 3,\r "word": [1, 2]}\n')
+
 # bounds: each flag, an explicit predicate order, links and input errors.
 _case("bounds_g3", ["bounds", "--strands", "3", KNOT, "--g3", "3"])
 _case("bounds_g4", ["bounds", "--strands", "3", KNOT, "--g4", "0"])
@@ -162,9 +165,9 @@ def run_case(argv: list[str], corpus: str | None, workdir: Path) -> dict:
     stdin = sys.stdin
     if corpus is not None:
         path = workdir / "corpus.jsonl"
-        path.write_text(corpus, encoding="utf-8")
+        path.write_bytes(corpus.encode("utf-8"))
         argv = [str(path) if arg == "{corpus}" else arg for arg in argv]
-        sys.stdin = io.StringIO(corpus)
+        sys.stdin = io.TextIOWrapper(io.BytesIO(corpus.encode("utf-8")))
     out, err = io.StringIO(), io.StringIO()
     try:
         # A usage error's text is wrapped to the terminal width; pin it.

@@ -100,7 +100,7 @@ class TestHandleReduce:
     def test_unfinished_sweep_raises(self, monkeypatch):
         """A swept word that is neither empty nor sigma-definite never
         leaves handle_reduce."""
-        monkeypatch.setattr(ordering, "_scan_once", lambda letters, cap, steps: (letters, 0, steps))
+        monkeypatch.setattr(ordering, "_scan_once", lambda letters, cap: (letters, 0))
         with pytest.raises(RuntimeError, match="sigma-definite"):
             handle_reduce(BraidWord(3, [1, 2, -1]))
         assert handle_reduce(BraidWord(3, [1, -2])).letters == (1, -2)
@@ -143,15 +143,16 @@ class TestSweep:
             yield _free_reduce_letters(letters)
 
     def test_sweep_is_pinned(self):
-        """One sweep of each word gives the same letters, reductions and
-        steps as the sweep before the persistent stack.  DIGEST is the
-        sha256 of repr([(tuple(letters), reductions, steps), ...]) over
-        sweep_words(), captured from that earlier sweep, which copied the
-        stack entries each push displaced into a tuple per letter."""
+        """One sweep of each word gives the same letters and reductions as
+        the sweep before the persistent stack.  DIGEST is the sha256 of
+        repr([(tuple(letters), reductions, steps), ...]) over sweep_words(),
+        captured from that earlier sweep, which copied the stack entries
+        each push displaced into a tuple per letter and counted steps
+        apart from reductions; the two counts were always equal."""
         records = []
         for letters in self.sweep_words():
-            out, reductions, steps = ordering._scan_once(letters, DEFAULT_STEP_CAP, 0)
-            records.append((tuple(out), reductions, steps))
+            out, reductions = ordering._scan_once(letters, DEFAULT_STEP_CAP)
+            records.append((tuple(out), reductions, reductions))
         assert sum(r for _, r, _ in records) == 2301
         assert hashlib.sha256(repr(records).encode()).hexdigest() == self.DIGEST
 
@@ -162,7 +163,7 @@ class TestSweep:
         for letters in self.sweep_words():
             n = max(map(abs, letters), default=1) + 1
             coordinates = dynnikov.act(dynnikov.start(n), letters)
-            swept = ordering._scan_once(letters, DEFAULT_STEP_CAP, 0)[0]
+            swept = ordering._scan_once(letters, DEFAULT_STEP_CAP)[0]
             reduced = handle_reduce(BraidWord(n, letters)).letters
             for out in (swept, reduced):
                 assert dynnikov.act(dynnikov.start(n), out) == coordinates

@@ -29,7 +29,7 @@ def main() -> int:
     for m in range(args.max_m + 1):
         row = []
         for k in ks:
-            floor = dehornoy_floor(generate(Ktd(m, k))).floor
+            floor = dehornoy_floor(generate(Ktd(m, k)))
             row.append(floor)
             mismatches += floor != m
         print(f"{m:>3} " + " ".join(f"{f:>3}" for f in row))

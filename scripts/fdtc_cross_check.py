@@ -66,8 +66,8 @@ def main() -> int:
         r = fdtc_exact(w)
         P, f = r.power_used, r.floor_of_power
         want = {
-            "floor_of_power": dehornoy_floor(free_reduce(w**P)).floor,
-            "floor": dehornoy_floor(w).floor,
+            "floor_of_power": dehornoy_floor(free_reduce(w**P)),
+            "floor": dehornoy_floor(w),
             "interval": (Fraction(f, P), Fraction(f + 1, P)),
             "rationals": {r.value},
         }

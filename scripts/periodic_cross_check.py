@@ -49,7 +49,7 @@ def main() -> int:
     for name, w, want in periodic_words(args.max_n, random.Random(args.seed)):
         total += 1
         r = fdtc_exact(w)
-        floor = dehornoy_floor(free_reduce(w**r.power_used)).floor
+        floor = dehornoy_floor(free_reduce(w**r.power_used))
         if r.value != want or r.floor_of_power != floor:
             mismatches.append(
                 f"  {name}, word {w.letters}: value {r.value} (want {want}), "

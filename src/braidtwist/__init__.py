@@ -18,7 +18,6 @@ from .ordering import (
     compare,
     handle_reduce,
     order_sign,
-    syntactic_sigma_class,
 )
 
 __all__ = [

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
@@ -34,7 +33,7 @@ from .braid import (
     integer,
     parse_word,
 )
-from .fdtc import dehornoy_floor, fdtc_exact
+from .fdtc import FLOOR_CONVENTION, dehornoy_floor, fdtc_exact
 from .families import BTtau, FullTwists, Ktd, Torus, generate
 from .genus_bounds import (
     INPUTS,
@@ -97,8 +96,8 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_floor(args) -> None:
-    r = dehornoy_floor(parse_word(args.word, args.strands), cap=args.cap)
-    _emit(args, {"floor": r.floor, "convention": r.convention}, str(r.floor))
+    floor = dehornoy_floor(parse_word(args.word, args.strands), cap=args.cap)
+    _emit(args, {"floor": floor, "convention": FLOOR_CONVENTION}, str(floor))
 
 
 def _cmd_fdtc(args) -> None:
@@ -119,12 +118,10 @@ def _cmd_bounds(args) -> None:
     report: dict = {"strands": w.strands, "knot": components == 1}
     inputs = {key: getattr(args, key) for key in INPUTS if getattr(args, key) is not None}
     if components == 1:
-        b = tau_s_bounds(w)
-        report["tau"] = [b.tau_lo, b.tau_hi]
-        report["s"] = [b.s_lo, b.s_hi]
+        report.update(tau_s_bounds(w))
         # Adds floor, fdtc and predicates; strands is already there.
         report.update(audit_bounds(w, predicates=args.predicates, cap=args.cap, **inputs))
-        lines = [f"tau in [{b.tau_lo}, {b.tau_hi}]", f"s in [{b.s_lo}, {b.s_hi}]"]
+        lines = [f"{key} in [{report[key][0]}, {report[key][1]}]" for key in ("tau", "s")]
     elif inputs or args.predicates is not None:
         read_inputs(inputs)  # a bad value is reported first, as audit_bounds does
         raise ValueError("genus and concordance predicates need a knot closure")
@@ -142,8 +139,7 @@ def _cmd_bounds(args) -> None:
 def _cmd_qp(args) -> None:
     s = parse_syllables(args.syllables, args.strands)
     word = expand(s)
-    report = {"strands": s.strands, **dataclasses.asdict(qp_report(s, word)),
-              "expanded": format_word(word)}
+    report = {"strands": s.strands, **qp_report(s, word), "expanded": format_word(word)}
     if args.check:
         report["fdtc"], report["bound_check"] = qp_bt_check(s, word, cap=args.cap)
     _emit(args, report, "\n".join(f"{key}: {value}" for key, value in report.items()))

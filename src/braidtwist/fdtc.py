@@ -119,13 +119,8 @@ from .braid import (  # noqa: F401
 )
 from .ordering import OrderSign, compare  # noqa: F401
 
+# How `braidtwist floor --json` names the floor that dehornoy_floor returns.
 FLOOR_CONVENTION = "max-t-with-Δ^{2t}⪯β"
-
-
-@dataclass(frozen=True)
-class FloorResult:
-    floor: int
-    convention: str = FLOOR_CONVENTION
 
 
 @dataclass(frozen=True)
@@ -239,8 +234,8 @@ def _power_sign(search: _PowerSearch, P: int, t: int, *, cap: int | None = None)
     return ordering.order_sign(search.twisted_power(P, t, cap=cap), cap=cap)
 
 
-def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
-    """Largest t with Delta^(2t) <= the braid of w.
+def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> int:
+    """The floor [w]_D, the largest integer t with Delta^(2t) <= the braid of w.
 
     The Dynnikov descent to denominator 1 finds t; two handle-reduction
     compares, Delta^(2t) <= w < Delta^(2t+2), certify it, so a wrong
@@ -252,7 +247,7 @@ def dehornoy_floor(w: BraidWord, *, cap: int | None = None) -> FloorResult:
     search = _PowerSearch(w)
     (t, _), _ = search.descend(1)
     _certify(search, (t, 1), (t + 1, 1), cap)
-    return FloorResult(floor=t)
+    return t
 
 
 def _floor_of_power(P: int, p: int, q: int, below: bool) -> int:

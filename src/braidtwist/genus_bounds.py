@@ -1,8 +1,8 @@
 """Concordance-invariant bounds and the audit predicates built on them.
 
-tau_s_bounds reads off the writhe-based window for the tau and s
-invariants of a knot presented as a braid closure.  Every g3/g4 an
-audit reads is caller-supplied ground truth, never invented here.
+tau_s_bounds reads off the writhe-based windows {"tau": (lo, hi),
+"s": (2*lo, 2*hi)} of a knot presented as a braid closure.  Every
+g3/g4 an audit reads is caller-supplied ground truth, never invented here.
 
 audit_bounds evaluates the floor and twist-coefficient inequalities a
 braid closure is expected to satisfy.  They are rows of one table, which
@@ -27,7 +27,6 @@ caller supplies it or the CLI passes a bounds flag or corpus meta.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -36,32 +35,22 @@ from .braid import BraidWord, _plain, closure_components, exponent_counts, integ
 from .fdtc import dehornoy_floor, fdtc_exact  # noqa: F401
 
 
-@dataclass(frozen=True)
-class InvariantBounds:
-    tau_lo: Fraction
-    tau_hi: Fraction
-    s_lo: Fraction
-    s_hi: Fraction
-
-
-def tau_s_bounds(w: BraidWord) -> InvariantBounds:
-    """Window for tau and s of the closure knot, from the word as written.
+def tau_s_bounds(w: BraidWord) -> dict:
+    """Windows for tau and s of the closure knot, from the word as written.
 
     With k positive letters, l negative letters, and n strands:
-    (k-l-n+1)/2 <= tau <= (k-l+n-1)/2 and s is sandwiched by twice
-    those endpoints.  The bounds depend on the chosen word, not just
-    the closure: a wasteful word widens nothing but shifts the window.
+    lo = (k-l-n+1)/2 <= tau <= hi = (k-l+n-1)/2, and s is sandwiched by
+    twice those ends: {"tau": (lo, hi), "s": (2*lo, 2*hi)}, each end a
+    Fraction, the windows `braidtwist bounds` prints.  The bounds depend
+    on the chosen word, not just the closure: a wasteful word widens
+    nothing but shifts the window.
     """
     if closure_components(w) != 1:
         raise ValueError("closure is not a knot")
     k, l, _ = exponent_counts(w)
     n = w.strands
-    return InvariantBounds(
-        tau_lo=Fraction(k - l - n + 1, 2),
-        tau_hi=Fraction(k - l + n - 1, 2),
-        s_lo=Fraction(k - l - n + 1),
-        s_hi=Fraction(k - l + n - 1),
-    )
+    lo, hi = Fraction(k - l - n + 1, 2), Fraction(k - l + n - 1, 2)
+    return {"tau": (lo, hi), "s": (2 * lo, 2 * hi)}
 
 
 def _fraction(key: str, value) -> Fraction:

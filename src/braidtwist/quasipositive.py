@@ -4,10 +4,9 @@ A syllable word is a product of conjugated generators
 (w_1 sigma_{i_1} w_1^{-1})^{e_1} ... (w_m sigma_{i_m} w_m^{-1})^{e_m}.
 All-positive syllable words are exactly the quasipositive braids; for
 those, m bands give chi_4 = n - m for the closure surface and the twist
-coefficient is trapped in [0, m-1], which qp_bt_check and
-check_qp_bt_bound verify with the engine.  A word with a negative band
-gets no bound here: its exact twist coefficient is fdtc_exact of the
-expanded word.
+coefficient is trapped in [0, m-1], which qp_bt_check verifies with
+the engine.  A word with a negative band gets no bound here: its exact
+twist coefficient is fdtc_exact of the expanded word.
 """
 
 from __future__ import annotations
@@ -68,23 +67,6 @@ class SyllableWord:
         return len(self.syllables)
 
 
-@dataclass(frozen=True)
-class QpReport:
-    """Bookkeeping bounds read off a syllable word without reduction.
-
-    chi4, g4 and bt_upper hold only for all-positive words (g4 further
-    needs a knot closure); they are None when inapplicable.  The exact
-    twist coefficient of any syllable word is fdtc_exact of its expansion.
-    """
-
-    qp_length: int
-    chi4: int | None
-    g4: Fraction | None
-    bt_upper: int | None
-    all_positive: bool
-    closure_is_knot: bool
-
-
 def expand(s: SyllableWord) -> BraidWord:
     """The plain braid word w_j sigma_{i_j}^{e_j} w_j^{-1} ..., freely reduced."""
     letters: list[int] = []
@@ -95,28 +77,28 @@ def expand(s: SyllableWord) -> BraidWord:
     return BraidWord._unchecked(s.strands, tuple(_free_reduce_letters(letters)))
 
 
-def qp_report(s: SyllableWord, word: BraidWord | None = None) -> QpReport:
-    """Structural bounds for a syllable word; nothing here reduces words.
-    word, if given, is expand(s), so a caller that needs both expands once."""
+def qp_report(s: SyllableWord, word: BraidWord | None = None) -> dict:
+    """Bookkeeping bounds read off a syllable word; nothing here reduces words.
+
+    The keys, in order: qp_length (the band count m), chi4, g4, bt_upper,
+    all_positive and closure_is_knot.  chi4 = n - m, g4 = (m - n + 1)/2
+    and bt_upper = m - 1 hold only for all-positive words (g4 further
+    needs a knot closure); they are None when inapplicable.  The exact
+    twist coefficient of any syllable word is fdtc_exact of its expansion.
+    word, if given, is expand(s), so a caller that needs both expands once.
+    """
     n = s.strands
     m = len(s.syllables)
     all_positive = m > 0 and all(syl.sign > 0 for syl in s.syllables)
     knot = closure_components(expand(s) if word is None else word) == 1
-    chi4 = n - m if all_positive else None
-    g4 = Fraction(m - n + 1, 2) if all_positive and knot else None
-    return QpReport(
-        qp_length=m,
-        chi4=chi4,
-        g4=g4,
-        bt_upper=m - 1 if all_positive else None,
-        all_positive=all_positive,
-        closure_is_knot=knot,
-    )
-
-
-def check_qp_bt_bound(s: SyllableWord, *, cap: int | None = None) -> bool:
-    """Verify 0 <= BT <= m-1 on an all-positive syllable word (qp_bt_check)."""
-    return qp_bt_check(s, cap=cap)[1]
+    return {
+        "qp_length": m,
+        "chi4": n - m if all_positive else None,
+        "g4": Fraction(m - n + 1, 2) if all_positive and knot else None,
+        "bt_upper": m - 1 if all_positive else None,
+        "all_positive": all_positive,
+        "closure_is_knot": knot,
+    }
 
 
 def qp_bt_check(

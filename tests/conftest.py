@@ -27,7 +27,7 @@ def check_fdtc_certificate():
 
     def check(w, value, power, floor, lo, hi):
         n = w.strands
-        assert dehornoy_floor(free_reduce(w**power)).floor == floor
+        assert dehornoy_floor(free_reduce(w**power)) == floor
         assert (lo, hi) == (Fraction(floor, power), Fraction(floor + 1, power))
         assert hi - lo == Fraction(1, power)
         inside = {

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 import braidtwist.cli as cli
 import braidtwist.genus_bounds as genus_bounds
 import braidtwist.quasipositive as quasipositive
-from braidtwist import BraidWord
+from braidtwist import BraidWord, format_word
 from braidtwist.braid import integer
+from braidtwist.fdtc import FLOOR_CONVENTION, dehornoy_floor, fdtc_exact
+from braidtwist.genus_bounds import audit_bounds, tau_s_bounds
 from braidtwist.cli import run
 
 
@@ -163,8 +165,7 @@ class TestQpCommand:
         assert run(["qp", "--strands", strands, "--check", "--", syllables]) == 1
         assert error in capsys.readouterr().err
         with pytest.raises(ValueError, match=error):
-            quasipositive.check_qp_bt_bound(quasipositive.parse_syllables(syllables,
-                                                                          int(strands)))
+            quasipositive.qp_bt_check(quasipositive.parse_syllables(syllables, int(strands)))
         assert calls == []
 
 
@@ -197,6 +198,37 @@ class TestBoundsCommand:
         assert run(["bounds", "--strands", "3", "--json", word]) == 0
         assert json.loads(lines(capsys)[0])["fdtc"] == fdtc
         assert len(calls) == 1
+
+
+KNOT, LINK = BraidWord(3, [1, 2] * 4), BraidWord(3, [1, 1])
+BANDS = quasipositive.parse_syllables("2 | 1 | +; | 2 | +", 3)
+
+
+@pytest.mark.parametrize("argv, record", [
+    (["floor", "--strands", "3", "1 2 1 2 1 2 1 2"],
+     lambda: {"floor": dehornoy_floor(KNOT), "convention": FLOOR_CONVENTION}),
+    (["bounds", "--strands", "3", "--g3", "3", "--g4", "3", "1 2 1 2 1 2 1 2"],
+     lambda: {"strands": 3, "knot": True, **tau_s_bounds(KNOT),
+              **audit_bounds(KNOT, g3="3", g4="3")}),
+    (["bounds", "--strands", "3", "1 1"],
+     lambda: {"strands": 3, "knot": False, "floor": fdtc_exact(LINK).floor,
+              "fdtc": fdtc_exact(LINK).value}),
+    (["qp", "--strands", "3", "2 | 1 | +; | 2 | +"],
+     lambda: {"strands": 3, **quasipositive.qp_report(BANDS),
+              "expanded": format_word(quasipositive.expand(BANDS))}),
+    (["qp", "--strands", "3", "--check", "2 | 1 | +; | 2 | +"],
+     lambda: {"strands": 3, **quasipositive.qp_report(BANDS),
+              "expanded": format_word(quasipositive.expand(BANDS)),
+              **dict(zip(("fdtc", "bound_check"), quasipositive.qp_bt_check(BANDS)))}),
+], ids=["floor", "bounds_knot", "bounds_link", "qp", "qp_check"])
+def test_report_is_the_library_record(capsys, argv, record):
+    """--json prints the library's values, key for key and in key order."""
+    assert run([*argv[:-1], "--json", argv[-1]]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    want = json.loads(json.dumps(record(), default=cli._fraction_text))
+    assert list(printed.items()) == list(want.items())
+    if printed.get("knot") is False:
+        assert "tau" not in printed and "s" not in printed
 
 
 class TestAuditCommand:

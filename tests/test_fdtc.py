@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidtwist.cli as cli
 import braidtwist.fdtc as fdtc
 import braidtwist.dynnikov as dynnikov
 import braidtwist.ordering as ordering
@@ -41,7 +43,7 @@ def fdtc_interval(w, N, *, cap=None):
     ([w^N]_D + 1) / N."""
     if N < 1:
         raise ValueError(f"power must be positive, got {N}")
-    f = dehornoy_floor(free_reduce(w**N), cap=cap).floor
+    f = dehornoy_floor(free_reduce(w**N), cap=cap)
     return Fraction(f, N), Fraction(f + 1, N)
 
 
@@ -155,7 +157,7 @@ class TestTwistedPower:
         search = _PowerSearch(w)
         for P in (1, 2, 4):
             power = free_reduce(w**P)
-            floor = dehornoy_floor(power).floor
+            floor = dehornoy_floor(power)
             for t in range(floor - 3, floor + 4):
                 twisted = search.twisted_power(P, t)
                 assert compare(twisted, delta2 ** (-t) * power) is OrderSign.EQUAL
@@ -293,24 +295,24 @@ class TestLetterBudget:
 
 class TestDehornoyFloor:
     def test_single_generator(self):
-        assert dehornoy_floor(BraidWord(3, [1])).floor == 0
+        assert dehornoy_floor(BraidWord(3, [1])) == 0
 
     def test_identity(self):
-        assert dehornoy_floor(BraidWord(3, [])).floor == 0
+        assert dehornoy_floor(BraidWord(3, [])) == 0
 
     def test_full_twist(self):
         delta2 = garside_delta(3, squared=True)
-        assert dehornoy_floor(delta2).floor == 1
-        assert dehornoy_floor(delta2.inverse()).floor == -1
+        assert dehornoy_floor(delta2) == 1
+        assert dehornoy_floor(delta2.inverse()) == -1
 
     def test_family_members(self):
         for m, k in ((0, 1), (1, 2), (2, 5), (3, 1)):
             w = BraidWord(3, [2, 1] * (3 * m + 1) + [-2] * (2 * k))
-            assert dehornoy_floor(w).floor == m
+            assert dehornoy_floor(w) == m
 
-    def test_convention_recorded(self):
-        r = dehornoy_floor(BraidWord(3, [1]))
-        assert r.convention == FLOOR_CONVENTION
+    def test_convention_recorded(self, capsys):
+        assert cli.run(["floor", "--strands", "3", "--json", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["convention"] == FLOOR_CONVENTION
 
     def test_central_shift(self):
         rng = random.Random(17)
@@ -319,12 +321,12 @@ class TestDehornoyFloor:
             beta = random_word(rng, 3, 7)
             c = rng.randint(-3, 3)
             shifted = (delta2 ** c) * beta
-            assert dehornoy_floor(shifted).floor == c + dehornoy_floor(beta).floor
+            assert dehornoy_floor(shifted) == c + dehornoy_floor(beta)
 
     @given(small_words())
     @settings(max_examples=25, deadline=None)
     def test_fdtc_exact_reports_the_same_floor(self, w):
-        assert fdtc_exact(w).floor == dehornoy_floor(w).floor
+        assert fdtc_exact(w).floor == dehornoy_floor(w)
 
     def test_runaway_floor_walk_raises(self, monkeypatch):
         """A descent whose walk never turns stops at 2 len(w) + 1 with
@@ -377,7 +379,7 @@ class TestDehornoyFloor:
                 function(w)
                 assert probes[-1] == (j, 1, 0) and all(sign for *_, sign in probes[:-1])
             claims.clear()
-            assert dehornoy_floor(w).floor == j
+            assert dehornoy_floor(w) == j
             assert claims == [(1, j), (1, j + 1)]
 
 
@@ -477,8 +479,8 @@ class TestFdtcExact:
     @settings(max_examples=25, deadline=None)
     def test_floor_of_doubled_power(self, w):
         for P in (1, 2, 4):
-            floor = dehornoy_floor(free_reduce(w**P)).floor
-            doubled = dehornoy_floor(free_reduce(w ** (2 * P))).floor
+            floor = dehornoy_floor(free_reduce(w**P))
+            doubled = dehornoy_floor(free_reduce(w ** (2 * P)))
             assert doubled - 2 * floor in (0, 1)
 
     def test_two_certificate_compares(self, monkeypatch):

@@ -14,18 +14,22 @@ and review its diff.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from braidtwist import OrderSign
 from braidtwist.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -224,6 +228,27 @@ def test_script_output_cut_short(argv):
     process.stdout.close()
     _, stderr = process.communicate(timeout=120)
     assert "Traceback" not in stderr.decode() and process.returncode == 0
+
+
+def test_readme_library_snippet():
+    """The README's python block runs line by line, and each expression
+    line's value has the type and value of its comment, read as Python."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    checked = 0
+    for line in snippet.splitlines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        if isinstance(ast.parse(code).body[0], ast.Expr):
+            want = eval(comment, {"Fraction": Fraction, "OrderSign": OrderSign})
+            value = eval(code, namespace)
+            assert (type(value), value) == (type(want), want), line
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 3
 
 
 if __name__ == "__main__":

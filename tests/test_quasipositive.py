@@ -7,10 +7,10 @@ from braidtwist.fdtc import fdtc_exact
 from braidtwist.quasipositive import (
     Syllable,
     SyllableWord,
-    check_qp_bt_bound,
     expand,
     format_syllables,
     parse_syllables,
+    qp_bt_check,
     qp_report,
 )
 
@@ -66,21 +66,21 @@ class TestValidation:
             SyllableWord(strands, (Syllable(conjugator, generator, sign),))
 
 
-class TestQpReport:
+class TestSyllableReport:
     def test_two_positive_bands(self):
         s = SyllableWord(3, (Syllable((), 1, 1), Syllable((), 2, 1)))
         r = qp_report(s)
-        assert r.qp_length == 2
-        assert r.chi4 == 1
-        assert r.g4 == 0
-        assert r.bt_upper == 1
-        assert r.all_positive
-        assert r.closure_is_knot
+        assert r["qp_length"] == 2
+        assert r["chi4"] == 1
+        assert r["g4"] == 0
+        assert r["bt_upper"] == 1
+        assert r["all_positive"]
+        assert r["closure_is_knot"]
 
     def test_single_band_pins_twist_to_zero(self):
         s = SyllableWord(3, (Syllable((2,), 1, 1),))
         r = qp_report(s)
-        assert r.bt_upper == 0
+        assert r["bt_upper"] == 0
         assert fdtc_exact(expand(s)).value == 0
 
     def test_mixed_sign_bounds(self):
@@ -95,42 +95,42 @@ class TestQpReport:
             ),
         )
         r = qp_report(s)
-        assert not r.all_positive
-        assert r.chi4 is None and r.g4 is None and r.bt_upper is None
+        assert not r["all_positive"]
+        assert r["chi4"] is None and r["g4"] is None and r["bt_upper"] is None
         assert fdtc_exact(expand(s)).value == 0
 
     def test_non_knot_closure_reported(self):
         s = SyllableWord(3, (Syllable((), 1, 1), Syllable((), 1, 1)))
-        assert not qp_report(s).closure_is_knot
+        assert not qp_report(s)["closure_is_knot"]
 
 
 class TestCheckBound:
     def test_single_band(self):
         s = SyllableWord(3, (Syllable((2, 1), 2, 1),))
-        assert check_qp_bt_bound(s)
+        assert qp_bt_check(s)[1]
         assert fdtc_exact(expand(s)).value == 0
 
     def test_positive_word_as_bands(self):
         letters = [1, 2, 1, 2]
         s = SyllableWord(3, tuple(Syllable((), g, 1) for g in letters))
-        assert check_qp_bt_bound(s)
+        assert qp_bt_check(s)[1]
 
     def test_random_words_satisfy_bound(self):
         rng = random.Random(41)
         for _ in range(12):
             n = rng.choice((3, 4))
             s = random_syllable_word(rng, n, rng.randint(1, 4))
-            assert check_qp_bt_bound(s)
+            assert qp_bt_check(s)[1]
 
     def test_needs_three_strands(self):
         s = SyllableWord(2, (Syllable((), 1, 1),))
         with pytest.raises(ValueError):
-            check_qp_bt_bound(s)
+            qp_bt_check(s)
 
     def test_needs_positive_bands(self):
         s = SyllableWord(3, (Syllable((), 1, -1),))
         with pytest.raises(ValueError):
-            check_qp_bt_bound(s)
+            qp_bt_check(s)
 
 
 class TestTextForm:

@@ -7,10 +7,8 @@ from .braid import (
     format_word,
     free_reduce,
     garside_delta,
-    make_positive,
     parse_word,
     permutation,
-    positive_braid_genus,
 )
 from .ordering import (
     OrderSign,
@@ -31,9 +29,7 @@ __all__ = [
     "free_reduce",
     "garside_delta",
     "handle_reduce",
-    "make_positive",
     "order_sign",
     "parse_word",
     "permutation",
-    "positive_braid_genus",
 ]

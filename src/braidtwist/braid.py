@@ -5,16 +5,14 @@ stands for the generator sigma_g and g < 0 for its inverse.  Generator
 indices are 1-based, so valid letters satisfy 1 <= |g| <= n-1.
 
 Everything here works at the free-group level; the braid relations only
-enter through the rewriting engine in the ordering module, which is also
-why make_positive certifies its output with an order comparison instead
-of trusting the rewrite.
+enter through the rewriting engine in the ordering module.  This module
+imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from fractions import Fraction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,65 +241,3 @@ def closure_components(w: BraidWord) -> int:
             j = images.pop(j)
         cycles += 1
     return cycles
-
-
-def positive_braid_genus(w: BraidWord) -> Fraction:
-    """Genus of the closure of a positive braid word whose closure is a knot.
-
-    For such words the Seifert genus, the smooth 4-ball genus, tau and s/2
-    all coincide and equal (length - strands + 1) / 2.
-    """
-    if any(g < 0 for g in w.letters):
-        raise ValueError("word is not positive")
-    if closure_components(w) != 1:
-        raise ValueError("closure is not a knot")
-    return Fraction(len(w.letters) - w.strands + 1, 2)
-
-
-def _full_twist_from(n: int, i: int) -> tuple[int, ...]:
-    """The letters of Delta^2 on n strands, beginning with sigma_i.
-
-    The word is (s_i ... s_(n-1) s_1 ... s_(i-1))^n.  Its base is a cyclic
-    rotation, hence a conjugate, of s_1 ... s_(n-1), whose n-th power is
-    the central Delta^2; so the word is Delta^2 itself, and dropping its
-    first letter leaves a positive word for sigma_i^-1 Delta^2.
-    ValueError, before any letter is built, if its n(n-1) letters are more
-    than DEFAULT_STEP_CAP.
-    """
-    _check_length(f"Delta^2 on {n} strands", n * (n - 1))
-    return (tuple(range(i, n)) + tuple(range(1, i))) * n
-
-
-def make_positive(w: BraidWord, t: int) -> BraidWord:
-    """An all-positive word equal, as a braid, to w * Delta^(2t).
-
-    Each negative letter sigma_i^-1 absorbs one central full twist: it is
-    written as the full twist that begins with sigma_i (_full_twist_from)
-    less that first letter, n(n-1) - 1 letters.  The remaining t - l full
-    twists are appended; t must cover the negative-letter count l.
-    Output length is k - l + t*n*(n-1) for k positive letters; ValueError,
-    before any letter is built, if that is more than DEFAULT_STEP_CAP.  The
-    result is always certified equal to w * (Delta Delta)^t, a target
-    built from the Garside word, by an order comparison.
-    """
-    k, l, _ = exponent_counts(w)
-    if t < l:
-        raise ValueError(f"need t >= {l} (one full twist per negative letter), got {t}")
-    n = w.strands
-    length = k - l + t * n * (n - 1)
-    _check_length(f"the positive word for w * Delta^{2 * t} on {n} strands", length)
-    letters: list[int] = []
-    for g in w.letters:
-        if g > 0:
-            letters.append(g)
-        else:
-            letters.extend(_full_twist_from(n, -g)[1:])
-    letters.extend(_full_twist_from(n, 1) * (t - l))
-    result = BraidWord(n, tuple(letters))
-    assert len(result) == length
-    from . import ordering  # deferred: ordering depends on this module
-
-    target = w * garside_delta(n, squared=True) ** t
-    if ordering.compare(result, target) is not ordering.OrderSign.EQUAL:
-        raise RuntimeError("positive rewrite does not equal w * Delta^(2t)")
-    return result

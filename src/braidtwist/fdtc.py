@@ -80,10 +80,10 @@ u carrying its share.  So each compare reduces c B(k_1) ... B(k_Q) c^-1
 over the blocks B(k) = Delta^(-2k) u, with
 k_i = floor(i t / Q) - floor((i - 1) t / Q): the balanced (Christoffel)
 arrangement of slope t/Q, in which every k_i is floor(t/Q) or
-floor(t/Q) + 1.  The full twist is written (s_1 ... s_(n-1))^n, the
-Coxeter power that braid._full_twist_from also gives make_positive: the
-compares of fdtc_exact on the fdtc_small_n words then take about a
-fifth fewer handle reductions than with the Garside word Delta Delta.
+floor(t/Q) + 1.  The full twist is written as the Coxeter power
+(s_1 ... s_(n-1))^n: the compares of fdtc_exact on the fdtc_small_n
+words then take about a fifth fewer handle reductions than with the
+Garside word Delta Delta.
 Each block is handle-reduced the first time a word of the search asks
 for it and kept by k; every compare is at a power Q <= 2n - 1, so a
 word is at most 2n - 1 kept blocks of two kinds.  The k_i telescope to
@@ -112,8 +112,8 @@ from . import dynnikov, ordering
 # bench/spans.py wraps them under this module's name.
 from .braid import (  # noqa: F401
     BraidWord,
+    _check_length,
     _conjugate_split,
-    _full_twist_from,
     free_reduce,
     garside_delta,
 )
@@ -145,8 +145,11 @@ class FdtcResult:
 
 @functools.lru_cache(maxsize=4)
 def _full_twists(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The letters of Delta^2 = (s_1 ... s_(n-1))^n and of Delta^-2 on n strands."""
-    twist = _full_twist_from(n, 1)
+    """The letters of Delta^2 = (s_1 ... s_(n-1))^n and of Delta^-2 on n
+    strands.  ValueError, before any letter is built, if the n(n-1)
+    letters are more than DEFAULT_STEP_CAP."""
+    _check_length(f"Delta^2 on {n} strands", n * (n - 1))
+    twist = tuple(range(1, n)) * n
     return twist, tuple(-g for g in reversed(twist))
 
 

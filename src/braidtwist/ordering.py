@@ -93,12 +93,6 @@ def _sigma_class(letters) -> tuple[int, int] | None:
     return lowest, 1 if pos else -1
 
 
-def syntactic_sigma_class(w: BraidWord) -> tuple[int, int] | None:
-    """(i, +1) if the lowest index i occurs only positively, (i, -1) if
-    only negatively, None for the empty word or mixed signs at i."""
-    return _sigma_class(w.letters)
-
-
 def _scan_once(letters: list[int], cap: int) -> tuple[list[int], int]:
     """One exact sweep, reducing every handle as it closes; returns (new
     letters, number of reductions), at most cap reductions."""

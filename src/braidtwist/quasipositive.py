@@ -19,7 +19,6 @@ from .braid import (
     _check_length,
     _free_reduce_letters,
     closure_components,
-    format_word,
     integer,
     parse_word,
 )
@@ -155,11 +154,3 @@ def parse_syllables(text: str, strands: int) -> SyllableWord:
             sign = 1 if sign_text == "+" else -1
             syllables.append(Syllable(conj, generator, sign))
     return SyllableWord(strands, tuple(syllables))
-
-
-def format_syllables(s: SyllableWord) -> str:
-    return "; ".join(
-        f"{format_word(BraidWord(s.strands, syl.conjugator))} | {syl.generator} | "
-        f"{'+' if syl.sign > 0 else '-'}"
-        for syl in s.syllables
-    )

@@ -5,6 +5,13 @@ that fdtc_exact certifies exactly; the tests check that the engine's
 value always lies inside them.  The torus closed forms (tau, Upsilon(1)
 and the four-genus of a difference) are checked against each other and
 read by acceptance criterion 10.
+
+The word tools below are used by tests only: the sigma class of a word,
+written apart from the engine's own, checks handle reduction's output;
+the full twist that begins with any generator is the word fdtc builds
+from sigma_1, and make_positive uses it to write w * Delta^(2t) as a
+positive word whose genus positive_braid_genus reads off (acceptance
+criterion 5).  format_syllables inverts parse_syllables.
 """
 
 from __future__ import annotations
@@ -12,7 +19,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from braidtwist.braid import BraidWord, _conjugate_split
+from braidtwist.braid import (
+    BraidWord,
+    _check_length,
+    _conjugate_split,
+    closure_components,
+    exponent_counts,
+    format_word,
+    garside_delta,
+)
+from braidtwist.ordering import OrderSign, compare
+from braidtwist.quasipositive import SyllableWord
 
 
 def word_sign_bounds(w: BraidWord) -> tuple[bool, bool]:
@@ -91,3 +108,79 @@ def g4_torus_difference(m: int, k: int) -> Fraction:
     tau_gap = abs(torus_tau(3, 3 * m + 1) - torus_tau(2, 2 * k + 1))
     upsilon_gap = abs(upsilon_at_one("T3", m) - upsilon_at_one("T2", k))
     return Fraction(max(tau_gap, Fraction(upsilon_gap)))
+
+
+def syntactic_sigma_class(w: BraidWord) -> tuple[int, int] | None:
+    """(i, +1) if the lowest index i occurs only positively, (i, -1) if
+    only negatively, None for the empty word or mixed signs at i."""
+    if not w.letters:
+        return None
+    lowest = min(abs(g) for g in w.letters)
+    signs = {1 if g > 0 else -1 for g in w.letters if abs(g) == lowest}
+    return (lowest, signs.pop()) if len(signs) == 1 else None
+
+
+def positive_braid_genus(w: BraidWord) -> Fraction:
+    """Genus of the closure of a positive braid word whose closure is a knot.
+
+    For such words the Seifert genus, the smooth 4-ball genus, tau and s/2
+    all coincide and equal (length - strands + 1) / 2.
+    """
+    if any(g < 0 for g in w.letters):
+        raise ValueError("word is not positive")
+    if closure_components(w) != 1:
+        raise ValueError("closure is not a knot")
+    return Fraction(len(w.letters) - w.strands + 1, 2)
+
+
+def _full_twist_from(n: int, i: int) -> tuple[int, ...]:
+    """The letters of Delta^2 on n strands, beginning with sigma_i.
+
+    The word is (s_i ... s_(n-1) s_1 ... s_(i-1))^n.  Its base is a cyclic
+    rotation, hence a conjugate, of s_1 ... s_(n-1), whose n-th power is
+    the central Delta^2; so the word is Delta^2 itself, and dropping its
+    first letter leaves a positive word for sigma_i^-1 Delta^2.
+    """
+    return (tuple(range(i, n)) + tuple(range(1, i))) * n
+
+
+def make_positive(w: BraidWord, t: int) -> BraidWord:
+    """An all-positive word equal, as a braid, to w * Delta^(2t).
+
+    Each negative letter sigma_i^-1 absorbs one central full twist: it is
+    written as the full twist that begins with sigma_i (_full_twist_from)
+    less that first letter, n(n-1) - 1 letters.  The remaining t - l full
+    twists are appended; t must cover the negative-letter count l.
+    Output length is k - l + t*n*(n-1) for k positive letters; ValueError,
+    before any letter is built, if that is more than DEFAULT_STEP_CAP.  The
+    result is always certified equal to w * (Delta Delta)^t, a target
+    built from the Garside word, by an order comparison.
+    """
+    k, l, _ = exponent_counts(w)
+    if t < l:
+        raise ValueError(f"need t >= {l} (one full twist per negative letter), got {t}")
+    n = w.strands
+    length = k - l + t * n * (n - 1)
+    _check_length(f"the positive word for w * Delta^{2 * t} on {n} strands", length)
+    letters: list[int] = []
+    for g in w.letters:
+        if g > 0:
+            letters.append(g)
+        else:
+            letters.extend(_full_twist_from(n, -g)[1:])
+    letters.extend(_full_twist_from(n, 1) * (t - l))
+    result = BraidWord(n, tuple(letters))
+    assert len(result) == length
+    target = w * garside_delta(n, squared=True) ** t
+    if compare(result, target) is not OrderSign.EQUAL:
+        raise RuntimeError("positive rewrite does not equal w * Delta^(2t)")
+    return result
+
+
+def format_syllables(s: SyllableWord) -> str:
+    """The 'w | i | +; w | i | -' text that parse_syllables reads back as s."""
+    return "; ".join(
+        f"{format_word(BraidWord(s.strands, syl.conjugator))} | {syl.generator} | "
+        f"{'+' if syl.sign > 0 else '-'}"
+        for syl in s.syllables
+    )

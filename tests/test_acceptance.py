@@ -15,10 +15,8 @@ from braidtwist import (
     compare,
     garside_delta,
     handle_reduce,
-    make_positive,
     order_sign,
     permutation,
-    positive_braid_genus,
 )
 from braidtwist.braid import closure_components, exponent_counts
 from braidtwist.families import BTtau, Ktd, Torus, generate
@@ -32,7 +30,7 @@ from braidtwist.quasipositive import (
     qp_bt_check,
     qp_report,
 )
-from oracles import g4_torus_difference
+from oracles import g4_torus_difference, make_positive, positive_braid_genus
 
 
 def random_word(rng, n, length):

@@ -16,14 +16,17 @@ from braidtwist import (
     format_word,
     free_reduce,
     garside_delta,
-    make_positive,
     parse_word,
     permutation,
+)
+from braidtwist import braid, fdtc
+from braidtwist.braid import _conjugate_split, integer
+from oracles import (
+    _full_twist_from,
+    detect_destabilizable,
+    make_positive,
     positive_braid_genus,
 )
-from braidtwist import braid
-from braidtwist.braid import _conjugate_split, _full_twist_from, integer
-from oracles import detect_destabilizable
 
 
 @st.composite
@@ -296,6 +299,7 @@ class TestFullTwistFrom:
             assert word.letters[0] == i and len(word) == n * (n - 1)
             assert compare(word, twist) is OrderSign.EQUAL
             assert dynnikov.order_sign(word * twist.inverse()) is OrderSign.EQUAL
+        assert fdtc._full_twists(n)[0] == _full_twist_from(n, 1)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_tail_is_an_inverse_generator_times_the_full_twist(self, n):
@@ -316,7 +320,6 @@ class TestFullTwistFrom:
             for n in range(300, 340):
                 garside_delta(n)
                 garside_delta(n, squared=True)
-                _full_twist_from(n, 1)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -334,7 +337,7 @@ class TestLetterBudget:
         "build, letters",
         [(lambda n: garside_delta(n), HUGE * (HUGE - 1) // 2),
          (lambda n: garside_delta(n, squared=True), HUGE * (HUGE - 1)),
-         (lambda n: _full_twist_from(n, 1), HUGE * (HUGE - 1)),
+         (lambda n: fdtc._full_twists(n), HUGE * (HUGE - 1)),
          (lambda n: make_positive(BraidWord(n, [1]), 1), 1 + HUGE * (HUGE - 1))],
         ids=("delta", "delta_squared", "full_twist_from", "make_positive"),
     )

@@ -22,8 +22,7 @@ from braidtwist.fdtc import (
     dehornoy_floor,
     fdtc_exact,
 )
-from braidtwist.ordering import syntactic_sigma_class
-from oracles import destab_bounds, word_sign_bounds
+from oracles import destab_bounds, syntactic_sigma_class, word_sign_bounds
 
 
 def random_word(rng, n, length):
@@ -330,11 +329,17 @@ class TestDehornoyFloor:
 
     def test_runaway_floor_walk_raises(self, monkeypatch):
         """A descent whose walk never turns stops at 2 len(w) + 1 with
-        RuntimeError."""
+        RuntimeError: its last probe is +-(2 len(w) + 1)/1."""
+        w = BraidWord(3, [1, 2])
         for sign in (1, -1):
-            monkeypatch.setattr(_PowerSearch, "_probe", lambda self, a, b, sign=sign: sign)
+            probes = []
+            monkeypatch.setattr(
+                _PowerSearch, "_probe",
+                lambda self, a, b, sign=sign, probes=probes: probes.append((a, b)) or sign,
+            )
             with pytest.raises(RuntimeError, match="walk"):
-                dehornoy_floor(BraidWord(3, [1, 2]))
+                dehornoy_floor(w)
+            assert probes[-1] == (sign * (2 * len(w) + 1), 1)
 
     def test_floor_makes_two_compares(self, monkeypatch):
         """The Dynnikov search finds the floor; handle reduction only certifies it."""

@@ -18,7 +18,8 @@ from braidtwist import (
     permutation,
 )
 from braidtwist.braid import _free_reduce_letters, exponent_counts
-from braidtwist.ordering import DEFAULT_STEP_CAP, syntactic_sigma_class
+from braidtwist.ordering import DEFAULT_STEP_CAP
+from oracles import syntactic_sigma_class
 
 
 def random_word(rng, n, length):
@@ -36,16 +37,16 @@ def words(draw, min_strands=2, max_strands=5, max_len=10):
 
 class TestSigmaClass:
     def test_negative_main_generator(self):
-        assert syntactic_sigma_class(BraidWord(3, [-1, 2])) == (1, -1)
+        assert ordering._sigma_class(BraidWord(3, [-1, 2]).letters) == (1, -1)
 
     def test_positive_main_generator(self):
-        assert syntactic_sigma_class(BraidWord(3, [1, 1, 2, -2])) == (1, 1)
+        assert ordering._sigma_class(BraidWord(3, [1, 1, 2, -2]).letters) == (1, 1)
 
     def test_mixed_lowest_index(self):
-        assert syntactic_sigma_class(BraidWord(3, [1, -1])) is None
+        assert ordering._sigma_class(BraidWord(3, [1, -1]).letters) is None
 
     def test_empty(self):
-        assert syntactic_sigma_class(BraidWord(3, [])) is None
+        assert ordering._sigma_class(BraidWord(3, []).letters) is None
 
 
 class TestHandleReduce:
@@ -104,6 +105,13 @@ class TestHandleReduce:
         with pytest.raises(RuntimeError, match="sigma-definite"):
             handle_reduce(BraidWord(3, [1, 2, -1]))
         assert handle_reduce(BraidWord(3, [1, -2])).letters == (1, -2)
+
+    def test_letter_beyond_the_strands_raises(self, monkeypatch):
+        """A reduction that writes index n on n strands raises at the
+        strand check, before the verify checks see it."""
+        monkeypatch.setattr(ordering, "_reduce_core", lambda letters, cap: [3])
+        with pytest.raises(RuntimeError, match="beyond the strands"):
+            handle_reduce(BraidWord(3, [2]))
 
     def test_verify_traces_only_the_strands_the_words_move(self, monkeypatch):
         """The verify check traces the strands the words move, not the
@@ -242,3 +250,15 @@ class TestStepCap:
         w = random_word(rng, 4, 40)
         with pytest.raises(ReductionCapError):
             handle_reduce(w, cap=1)
+
+    def test_cap_admits_exactly_that_many_reductions(self):
+        """A word whose sweep takes r handle reductions reduces under a cap
+        of r and raises under r - 1."""
+        w = random_word(random.Random(1), 4, 40)
+        letters = _free_reduce_letters(w.letters)
+        assert ordering._sigma_class(letters) is None  # the word needs a sweep
+        r = ordering._scan_once(letters, DEFAULT_STEP_CAP)[1]
+        assert r > 1
+        handle_reduce(w, cap=r)
+        with pytest.raises(ReductionCapError):
+            handle_reduce(w, cap=r - 1)

@@ -8,11 +8,11 @@ from braidtwist.quasipositive import (
     Syllable,
     SyllableWord,
     expand,
-    format_syllables,
     parse_syllables,
     qp_bt_check,
     qp_report,
 )
+from oracles import format_syllables
 
 
 def random_syllable_word(rng, n, m, max_conj=4):

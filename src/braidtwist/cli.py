@@ -54,7 +54,7 @@ from .murasugi import (
     to_word,
 )
 from .ordering import ReductionCapError, compare, order_sign
-from .quasipositive import expand, parse_syllables, qp_bt_check, qp_report
+from .quasipositive import parse_syllables, qp_bt_check, qp_report
 
 
 def _fraction_text(value) -> str:
@@ -138,10 +138,9 @@ def _cmd_bounds(args) -> None:
 
 def _cmd_qp(args) -> None:
     s = parse_syllables(args.syllables, args.strands)
-    word = expand(s)
-    report = {"strands": s.strands, **qp_report(s, word), "expanded": format_word(word)}
+    report = {"strands": s.strands, **qp_report(s), "expanded": format_word(s.word)}
     if args.check:
-        report["fdtc"], report["bound_check"] = qp_bt_check(s, word, cap=args.cap)
+        report["fdtc"], report["bound_check"] = qp_bt_check(s, cap=args.cap)
     _emit(args, report, "\n".join(f"{key}: {value}" for key, value in report.items()))
 
 

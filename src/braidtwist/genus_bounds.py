@@ -6,9 +6,9 @@ g3/g4 an audit reads is caller-supplied ground truth, never invented here.
 
 audit_bounds evaluates the floor and twist-coefficient inequalities a
 braid closure is expected to satisfy.  They are rows of one table, which
-names each predicate's inputs, an optional check of their values, and
-the function that turns the inputs, the floor and BT into a verdict;
-PREDICATES lists the rows in table order:
+names each predicate's inputs and the function that turns the inputs,
+the floor and BT into a verdict; PREDICATES lists the rows in table
+order:
 
   ito         |floor| < (4*g3 - 2)/(n + 2) + 3/2  and  |BT| <= g3 + 2
   question15  |BT| <= 2*g4 + n - 2   (open question: failures are
@@ -20,8 +20,10 @@ PREDICATES lists the rows in table order:
 
 INPUTS, a second table, names the five inputs the predicates read (g3,
 g4, g4_upper, finite_concordance_order, qp_length), each with its
-reader: audit_bounds reads every value through it, whether a library
-caller supplies it or the CLI passes a bounds flag or corpus meta.
+reader, which holds the whole check of a value: a genus must be a
+rational >= 0 and qp_length an integer >= 1.  audit_bounds reads every
+value through it, whether a library caller supplies it or the CLI
+passes a bounds flag or corpus meta.
 """
 
 from __future__ import annotations
@@ -85,14 +87,28 @@ def _boolean(key: str, value) -> bool | None:
     )
 
 
+def _genus(key: str, value) -> Fraction:
+    genus = _fraction(key, value)
+    if genus < 0:
+        raise ValueError(f"{key} must be nonnegative, got {genus}")
+    return genus
+
+
+def _band_count(key: str, value) -> int:
+    m = _integer(key, value)
+    if m < 1:
+        raise ValueError(f"{key} must be a positive band count, got {m}")
+    return m
+
+
 # The audit inputs, in the order they are read (so the first bad one is the
 # one reported), each with its reader.
 INPUTS = {
-    "g3": _fraction,
-    "g4": _fraction,
-    "g4_upper": _fraction,
+    "g3": _genus,
+    "g4": _genus,
+    "g4_upper": _genus,
     "finite_concordance_order": _boolean,
-    "qp_length": _integer,
+    "qp_length": _band_count,
 }
 
 
@@ -129,12 +145,6 @@ def _slice3(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
     return ("pass" if abs(bt) <= 1 else "fail"), {"bound": Fraction(1)}
 
 
-def _check_qp(values: dict) -> None:
-    m = values["qp_length"]
-    if m < 1:
-        raise ValueError(f"qp_length must be a positive band count, got {m}")
-
-
 def _qp(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
     m = values["qp_length"]
     upper = Fraction(m - 1)
@@ -151,15 +161,13 @@ class _Predicate(NamedTuple):
     inputs: tuple[str, ...]
     # (inputs, strands, floor, BT) -> (status, details of the record entry).
     evaluate: Callable[[dict, int, int, Fraction], tuple[str, dict]]
-    # Raises ValueError on an input value the predicate cannot use.
-    check: Callable[[dict], None] = lambda values: None
 
 
 _TABLE = {
     "ito": _Predicate(("g3",), _ito),
     "question15": _Predicate(("g4", "g4_upper"), _question15),
     "slice3": _Predicate(("finite_concordance_order",), _slice3),
-    "qp": _Predicate(("qp_length",), _qp, _check_qp),
+    "qp": _Predicate(("qp_length",), _qp),
 }
 PREDICATES = tuple(_TABLE)
 
@@ -176,14 +184,15 @@ def audit_bounds(
     The inputs are INPUTS keywords, each read by its reader before
     anything else is checked, so the values accepted are those that
     `braidtwist audit` accepts in corpus meta.  None is an error except
-    for finite_concordance_order, where it means not supplied.
+    for finite_concordance_order, where it means not supplied.  Genus
+    values are caller-provided ground truth; a negative one, or a
+    qp_length below 1, is refused whatever predicates requests.
     With predicates=None, every predicate whose inputs were supplied is
     evaluated; explicitly requesting one without its inputs is an error.
     Every input is validated before the floor and BT are computed.
-    Genus values are caller-provided ground truth and must not be
-    negative.  question15 failures are flagged counterexample-candidate
-    rather than fail: the bound is an open question, and a braid
-    violating it is a discovery to report, not a broken invariant.
+    question15 failures are flagged counterexample-candidate rather than
+    fail: the bound is an open question, and a braid violating it is a
+    discovery to report, not a broken invariant.
     """
     unknown = sorted(inputs.keys() - INPUTS.keys())
     if unknown:
@@ -191,9 +200,6 @@ def audit_bounds(
     values = read_inputs(inputs)
     if closure_components(w) != 1:
         raise ValueError("closure is not a knot")
-    for key in ("g3", "g4", "g4_upper"):
-        if values[key] is not None and values[key] < 0:
-            raise ValueError(f"{key} must be nonnegative, got {values[key]}")
     supplied = [
         name for name, p in _TABLE.items() if any(values[k] is not None for k in p.inputs)
     ]
@@ -204,10 +210,8 @@ def audit_bounds(
     # Table order, not request order: the first missing input reported for
     # a request does not depend on how the request lists its predicates.
     for name, p in _TABLE.items():
-        if name in requested:
-            if name not in supplied:
-                raise ValueError(f"predicate {name!r} needs {' or '.join(p.inputs)}")
-            p.check(values)
+        if name in requested and name not in supplied:
+            raise ValueError(f"predicate {name!r} needs {' or '.join(p.inputs)}")
 
     n = w.strands
     result = fdtc_exact(w, cap=cap)  # one search: BT and the certified floor

@@ -81,16 +81,13 @@ def _effective_cap(cap: int | None) -> int:
     return cap
 
 
-def _sigma_class(letters) -> tuple[int, int] | None:
-    """(lowest generator index, its sign) if that index is single-signed;
-    letters is a list or a tuple."""
+def _definite(letters) -> bool:
+    """True if letters (a list or a tuple) is empty or its lowest
+    generator index occurs with one sign only."""
     if not letters:
-        return None
+        return True
     lowest = min(map(abs, letters))
-    pos, neg = lowest in letters, -lowest in letters
-    if pos and neg:
-        return None
-    return lowest, 1 if pos else -1
+    return lowest not in letters or -lowest not in letters
 
 
 def _scan_once(letters: list[int], cap: int) -> tuple[list[int], int]:
@@ -146,10 +143,10 @@ def _reduce_core(letters, cap: int) -> list[int]:
     else one sweep of them, which leaves no handle: its result must be
     empty or sigma-definite."""
     word = _free_reduce_letters(letters)
-    if not word or _sigma_class(word) is not None:
+    if _definite(word):
         return word
     word = _scan_once(word, cap)[0]
-    if word and _sigma_class(word) is None:
+    if not _definite(word):
         raise RuntimeError(
             "a sweep left a word that is neither empty nor sigma-definite (engine bug)"
         )

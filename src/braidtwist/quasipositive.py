@@ -6,12 +6,13 @@ All-positive syllable words are exactly the quasipositive braids; for
 those, m bands give chi_4 = n - m for the closure surface and the twist
 coefficient is trapped in [0, m-1], which qp_bt_check verifies with
 the engine.  A word with a negative band gets no bound here: its exact
-twist coefficient is fdtc_exact of the expanded word.
+twist coefficient is fdtc_exact of its expansion, SyllableWord.word,
+which is checked and made once, when the syllable word is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .braid import (
@@ -43,53 +44,43 @@ class Syllable:
 
 @dataclass(frozen=True)
 class SyllableWord:
+    """Bands on a number of strands.  word, made here and not compared, is
+    their expansion w_1 sigma_{i_1}^{e_1} w_1^{-1} ..., freely reduced."""
+
     strands: int
     syllables: tuple[Syllable, ...]
+    word: BraidWord = field(init=False, compare=False)
 
     def __post_init__(self):
-        # With Syllable's checks, every letter is an int in range, so expand
-        # builds its word unchecked.
         object.__setattr__(self, "syllables", tuple(self.syllables))
-        if type(self.strands) is not int or self.strands < 2:
-            raise ValueError(f"strand count must be an integer >= 2, got {self.strands!r}")
-        top = self.strands - 1
+        # BraidWord's letter rule checks the strand count and every
+        # conjugator and generator letter before any inverse is written.
+        BraidWord(self.strands, [g for s in self.syllables for g in (*s.conjugator, s.generator)])
+        letters: list[int] = []
         for s in self.syllables:
-            if s.generator > top:
-                raise ValueError(f"generator {s.generator} invalid for {self.strands} strands")
-            for g in s.conjugator:
-                if type(g) is not int or not 1 <= abs(g) <= top:
-                    raise ValueError(
-                        f"conjugator letter {g!r} invalid for {self.strands} strands"
-                    )
+            letters.extend(s.conjugator)
+            letters.append(s.sign * s.generator)
+            letters.extend(-g for g in reversed(s.conjugator))
+        word = BraidWord._unchecked(self.strands, tuple(_free_reduce_letters(letters)))
+        object.__setattr__(self, "word", word)
 
     def __len__(self) -> int:
         return len(self.syllables)
 
 
-def expand(s: SyllableWord) -> BraidWord:
-    """The plain braid word w_j sigma_{i_j}^{e_j} w_j^{-1} ..., freely reduced."""
-    letters: list[int] = []
-    for syl in s.syllables:
-        letters.extend(syl.conjugator)
-        letters.append(syl.sign * syl.generator)
-        letters.extend(-g for g in reversed(syl.conjugator))
-    return BraidWord._unchecked(s.strands, tuple(_free_reduce_letters(letters)))
-
-
-def qp_report(s: SyllableWord, word: BraidWord | None = None) -> dict:
+def qp_report(s: SyllableWord) -> dict:
     """Bookkeeping bounds read off a syllable word; nothing here reduces words.
 
     The keys, in order: qp_length (the band count m), chi4, g4, bt_upper,
     all_positive and closure_is_knot.  chi4 = n - m, g4 = (m - n + 1)/2
     and bt_upper = m - 1 hold only for all-positive words (g4 further
     needs a knot closure); they are None when inapplicable.  The exact
-    twist coefficient of any syllable word is fdtc_exact of its expansion.
-    word, if given, is expand(s), so a caller that needs both expands once.
+    twist coefficient of any syllable word is fdtc_exact of s.word.
     """
     n = s.strands
     m = len(s.syllables)
     all_positive = m > 0 and all(syl.sign > 0 for syl in s.syllables)
-    knot = closure_components(expand(s) if word is None else word) == 1
+    knot = closure_components(s.word) == 1
     return {
         "qp_length": m,
         "chi4": n - m if all_positive else None,
@@ -100,11 +91,8 @@ def qp_report(s: SyllableWord, word: BraidWord | None = None) -> dict:
     }
 
 
-def qp_bt_check(
-    s: SyllableWord, word: BraidWord | None = None, *, cap: int | None = None
-) -> tuple[Fraction, bool]:
-    """BT of s from the engine, run on word (expand(s) if not given), and
-    whether it lies in [0, m-1].
+def qp_bt_check(s: SyllableWord, *, cap: int | None = None) -> tuple[Fraction, bool]:
+    """BT of s from the engine, run on s.word, and whether it lies in [0, m-1].
 
     ValueError before the engine runs unless s is an all-positive syllable
     word on at least 3 strands.  The bound is a theorem for those, so
@@ -117,7 +105,7 @@ def qp_bt_check(
         raise ValueError("need at least one syllable")
     if any(syl.sign != 1 for syl in s.syllables):
         raise ValueError("the syllable bound needs an all-positive word")
-    bt = fdtc_exact(expand(s) if word is None else word, cap=cap).value
+    bt = fdtc_exact(s.word, cap=cap).value
     return bt, 0 <= bt <= len(s.syllables) - 1
 
 

@@ -11,7 +11,8 @@ written apart from the engine's own, checks handle reduction's output;
 the full twist that begins with any generator is the word fdtc builds
 from sigma_1, and make_positive uses it to write w * Delta^(2t) as a
 positive word whose genus positive_braid_genus reads off (acceptance
-criterion 5).  format_syllables inverts parse_syllables.
+criterion 5).  Only tests feed these tools, so they spend no letter
+budget.  format_syllables inverts parse_syllables.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 
 from braidtwist.braid import (
     BraidWord,
-    _check_length,
     _conjugate_split,
     closure_components,
     exponent_counts,
@@ -151,8 +151,7 @@ def make_positive(w: BraidWord, t: int) -> BraidWord:
     written as the full twist that begins with sigma_i (_full_twist_from)
     less that first letter, n(n-1) - 1 letters.  The remaining t - l full
     twists are appended; t must cover the negative-letter count l.
-    Output length is k - l + t*n*(n-1) for k positive letters; ValueError,
-    before any letter is built, if that is more than DEFAULT_STEP_CAP.  The
+    Output length is k - l + t*n*(n-1) for k positive letters.  The
     result is always certified equal to w * (Delta Delta)^t, a target
     built from the Garside word, by an order comparison.
     """
@@ -161,7 +160,6 @@ def make_positive(w: BraidWord, t: int) -> BraidWord:
         raise ValueError(f"need t >= {l} (one full twist per negative letter), got {t}")
     n = w.strands
     length = k - l + t * n * (n - 1)
-    _check_length(f"the positive word for w * Delta^{2 * t} on {n} strands", length)
     letters: list[int] = []
     for g in w.letters:
         if g > 0:

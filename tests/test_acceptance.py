@@ -26,7 +26,6 @@ from braidtwist.murasugi import Class1, Class2, Class3, cross_check
 from braidtwist.quasipositive import (
     Syllable,
     SyllableWord,
-    expand,
     qp_bt_check,
     qp_report,
 )
@@ -241,7 +240,7 @@ def test_criterion_09_quasipositive_bounds():
         assert qp_bt_check(s)[1], s
         r = qp_report(s)
         if r["closure_is_knot"]:
-            bt = fdtc_exact(expand(s)).value
+            bt = fdtc_exact(s.word).value
             assert bt <= 2 * r["g4"] + n - 2, s
         checked += 1
     assert checked >= 100

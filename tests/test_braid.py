@@ -327,9 +327,9 @@ class TestFullTwistFrom:
 
 
 class TestLetterBudget:
-    """Every Delta and Delta^2 word, and make_positive's output, is refused
-    with a ValueError naming the strand count and the letter count before
-    it is built, once it would have more than DEFAULT_STEP_CAP letters."""
+    """Every Delta and Delta^2 word is refused with a ValueError naming
+    the strand count and the letter count before it is built, once it
+    would have more than DEFAULT_STEP_CAP letters."""
 
     HUGE = 10**18
 
@@ -337,28 +337,12 @@ class TestLetterBudget:
         "build, letters",
         [(lambda n: garside_delta(n), HUGE * (HUGE - 1) // 2),
          (lambda n: garside_delta(n, squared=True), HUGE * (HUGE - 1)),
-         (lambda n: fdtc._full_twists(n), HUGE * (HUGE - 1)),
-         (lambda n: make_positive(BraidWord(n, [1]), 1), 1 + HUGE * (HUGE - 1))],
-        ids=("delta", "delta_squared", "full_twist_from", "make_positive"),
+         (lambda n: fdtc._full_twists(n), HUGE * (HUGE - 1))],
+        ids=("delta", "delta_squared", "full_twist_from"),
     )
     def test_oversized_strand_count_is_refused(self, build, letters):
         with pytest.raises(ValueError, match=f"on {self.HUGE} strands would have {letters} letters"):
             build(self.HUGE)
-
-    def test_oversized_twist_count_is_refused(self):
-        with pytest.raises(ValueError, match=f"would have {1 + 6 * self.HUGE} letters"):
-            make_positive(BraidWord(3, [1]), self.HUGE)
-
-    @pytest.mark.parametrize(
-        "w, t", [(BraidWord(3, [1, -2]), 2), (BraidWord(4, [3, 3]), 1), (BraidWord(2, [-1]), 3)]
-    )
-    def test_make_positive_counts_every_letter(self, monkeypatch, w, t):
-        length = len(make_positive(w, t))
-        monkeypatch.setattr(braid, "DEFAULT_STEP_CAP", length)
-        assert len(make_positive(w, t)) == length
-        monkeypatch.setattr(braid, "DEFAULT_STEP_CAP", length - 1)
-        with pytest.raises(ValueError, match=f"would have {length} letters"):
-            make_positive(w, t)
 
     @pytest.mark.parametrize("n", (2, 3, 5))
     def test_garside_delta_counts_every_letter(self, monkeypatch, n):

@@ -140,6 +140,13 @@ class TestQpCommand:
     def test_malformed_syllables(self, capsys):
         assert run(["qp", "--strands", "3", "1 | 2"]) == 1
 
+    def test_generator_beyond_the_strands(self, capsys):
+        """The syllable word's letters are checked by BraidWord's rule."""
+        assert run(["qp", "--strands", "3", " | 3 | +"]) == 1
+        err = capsys.readouterr().err
+        assert "letter 3 is not a generator of the braid group on 3 strands" in err
+        assert "Traceback" not in err
+
     def test_check_computes_the_twist_coefficient_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "fdtc_exact", cli, quasipositive)
         assert run(["qp", "--strands", "3", "--check", "2 | 1 | +; | 2 | +"]) == 0
@@ -148,8 +155,9 @@ class TestQpCommand:
 
     @pytest.mark.parametrize("check", [[], ["--check"]])
     def test_syllables_are_expanded_once(self, capsys, monkeypatch, check):
-        """The report, its expanded field and the engine share one expansion."""
-        calls = count_calls(monkeypatch, "expand", cli, quasipositive)
+        """The report, its expanded field and the engine share one expansion,
+        freely reduced once, when the syllable word is made."""
+        calls = count_calls(monkeypatch, "_free_reduce_letters", quasipositive)
         assert run(["qp", "--strands", "3", "--json", *check, "2 | 1 | +; | 2 | +"]) == 0
         assert json.loads(lines(capsys)[0])["expanded"] == "2 1"
         assert len(calls) == 1
@@ -215,10 +223,10 @@ BANDS = quasipositive.parse_syllables("2 | 1 | +; | 2 | +", 3)
               "fdtc": fdtc_exact(LINK).value}),
     (["qp", "--strands", "3", "2 | 1 | +; | 2 | +"],
      lambda: {"strands": 3, **quasipositive.qp_report(BANDS),
-              "expanded": format_word(quasipositive.expand(BANDS))}),
+              "expanded": format_word(BANDS.word)}),
     (["qp", "--strands", "3", "--check", "2 | 1 | +; | 2 | +"],
      lambda: {"strands": 3, **quasipositive.qp_report(BANDS),
-              "expanded": format_word(quasipositive.expand(BANDS)),
+              "expanded": format_word(BANDS.word),
               **dict(zip(("fdtc", "bound_check"), quasipositive.qp_bt_check(BANDS)))}),
 ], ids=["floor", "bounds_knot", "bounds_link", "qp", "qp_check"])
 def test_report_is_the_library_record(capsys, argv, record):
@@ -348,6 +356,16 @@ class TestAuditCommand:
         assert run(["audit", "--json", path]) == 1
         out = [json.loads(line) for line in lines(capsys)]
         assert out[0] == {"line": 1, "error": "closure is not a knot"}
+
+    def test_out_of_range_input_is_refused_whatever_the_predicates(self, tmp_path, capsys):
+        """A band count below 1 is an error record even when qp does not run."""
+        path = self.corpus(
+            tmp_path, '{"n": 3, "word": [1, 2], "meta": {"g3": 1, "qp_length": 0}}\n'
+        )
+        assert run(["audit", "--json", "--predicates", "ito", path]) == 1
+        out = [json.loads(line) for line in lines(capsys)]
+        assert out[0] == {"line": 1,
+                          "error": "qp_length must be a positive band count, got 0"}
 
     def test_clean_corpus_exits_zero(self, tmp_path, capsys):
         path = self.corpus(tmp_path, '{"n": 3, "word": [1, 2], "meta": {"qp_length": 2}}\n')

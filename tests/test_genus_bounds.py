@@ -171,9 +171,13 @@ class TestAuditBounds:
         ({"g3": True}, "g3 must be a rational number, got true"),
         ({"g4": "1_0"}, 'g4 must be a rational number, got "1_0"'),
         ({"g3": None}, "g3 must be a rational number, got null"),
+        ({"g4_upper": -1}, "g4_upper must be nonnegative, got -1"),
+        ({"g3": 1, "qp_length": 0, "predicates": ["ito"]},
+         "qp_length must be a positive band count, got 0"),
     ])
     def test_inputs_are_read_as_the_cli_reads_them(self, kwargs, message):
-        """The CLI's readers and messages, and before the knot check."""
+        """The CLI's readers and messages, range checks included, before
+        the knot check and whatever predicates requests."""
         for w in (BraidWord(3, [1, 2]), garside_delta(3, squared=True)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 audit_bounds(w, **kwargs)

@@ -37,16 +37,20 @@ def words(draw, min_strands=2, max_strands=5, max_len=10):
 
 class TestSigmaClass:
     def test_negative_main_generator(self):
-        assert ordering._sigma_class(BraidWord(3, [-1, 2]).letters) == (1, -1)
+        assert ordering._definite(BraidWord(3, [-1, 2]).letters) is True
 
     def test_positive_main_generator(self):
-        assert ordering._sigma_class(BraidWord(3, [1, 1, 2, -2]).letters) == (1, 1)
+        assert ordering._definite(BraidWord(3, [1, 1, 2, -2]).letters) is True
 
     def test_mixed_lowest_index(self):
-        assert ordering._sigma_class(BraidWord(3, [1, -1]).letters) is None
+        assert ordering._definite(BraidWord(3, [1, -1]).letters) is False
 
     def test_empty(self):
-        assert ordering._sigma_class(BraidWord(3, []).letters) is None
+        assert ordering._definite(BraidWord(3, []).letters) is True
+
+    def test_only_the_lowest_index_counts(self):
+        assert ordering._definite(BraidWord(4, [2, 3, -3]).letters) is True
+        assert ordering._definite(BraidWord(4, [3, 2, -2]).letters) is False
 
 
 class TestHandleReduce:
@@ -79,24 +83,24 @@ class TestHandleReduce:
 
     def test_at_most_one_sweep_and_one_classification_each(self, monkeypatch):
         """A reduction sweeps once, or not at all when the freely reduced
-        word is already empty or sigma-definite, and classifies each word
-        it returns or sweeps once; order_sign classifies nothing more."""
+        word is already empty or sigma-definite, and classifies the freely
+        reduced word and, after a sweep, the swept word, each once;
+        order_sign classifies nothing more."""
         sweeps, classified = [], []
-        scan, sigma_class = ordering._scan_once, ordering._sigma_class
+        scan, definite = ordering._scan_once, ordering._definite
         monkeypatch.setattr(ordering, "_scan_once", lambda *args: sweeps.append(args[0]) or scan(*args))
-        monkeypatch.setattr(ordering, "_sigma_class", lambda word: classified.append(word) or sigma_class(word))
+        monkeypatch.setattr(ordering, "_definite", lambda word: classified.append(word) or definite(word))
         rng = random.Random(41)
         for _ in range(60):
             w = random_word(rng, rng.randint(2, 6), rng.randint(0, 30))
             sweeps.clear()
             classified.clear()
-            sign = order_sign(w)
+            order_sign(w)
             free = _free_reduce_letters(w.letters)
-            if not free or sigma_class(free) is not None:
-                assert sweeps == [] and classified == ([free] if free else [])
+            if definite(free):
+                assert sweeps == [] and classified == [free]
             else:
-                assert len(sweeps) == 1
-                assert len(classified) == (1 if sign is OrderSign.EQUAL else 2)
+                assert len(sweeps) == 1 and len(classified) == 2
 
     def test_unfinished_sweep_raises(self, monkeypatch):
         """A swept word that is neither empty nor sigma-definite never
@@ -256,7 +260,7 @@ class TestStepCap:
         of r and raises under r - 1."""
         w = random_word(random.Random(1), 4, 40)
         letters = _free_reduce_letters(w.letters)
-        assert ordering._sigma_class(letters) is None  # the word needs a sweep
+        assert not ordering._definite(letters)  # the word needs a sweep
         r = ordering._scan_once(letters, DEFAULT_STEP_CAP)[1]
         assert r > 1
         handle_reduce(w, cap=r)

@@ -7,7 +7,6 @@ from braidtwist.fdtc import fdtc_exact
 from braidtwist.quasipositive import (
     Syllable,
     SyllableWord,
-    expand,
     parse_syllables,
     qp_bt_check,
     qp_report,
@@ -27,29 +26,41 @@ def random_syllable_word(rng, n, m, max_conj=4):
 class TestExpand:
     def test_trivial_conjugator(self):
         s = SyllableWord(3, (Syllable((), 1, 1),))
-        assert expand(s).letters == (1,)
+        assert s.word.letters == (1,)
 
     def test_conjugated_generator(self):
         s = SyllableWord(3, (Syllable((1,), 2, 1),))
-        assert expand(s).letters == (1, 2, -1)
+        assert s.word.letters == (1, 2, -1)
 
     def test_adjacent_syllables_reduce_freely(self):
         s = SyllableWord(3, (Syllable((), 1, 1), Syllable((1,), 2, 1)))
-        assert expand(s).letters == (1, 1, 2, -1)
+        assert s.word.letters == (1, 1, 2, -1)
 
     def test_negative_syllable(self):
         s = SyllableWord(3, (Syllable((2,), 1, -1),))
-        assert expand(s).letters == (2, -1, -2)
+        assert s.word.letters == (2, -1, -2)
 
 
 class TestValidation:
     def test_generator_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="letter 3 is not a generator .* on 3 strands"):
             SyllableWord(3, (Syllable((), 3, 1),))
 
     def test_conjugator_letter_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="letter 3 is not a generator .* on 3 strands"):
             SyllableWord(3, (Syllable((3,), 1, 1),))
+
+    def test_too_few_strands(self):
+        with pytest.raises(ValueError, match="need at least 2 strands, got 1"):
+            SyllableWord(1, ())
+
+    def test_word_is_made_here_and_not_compared(self):
+        s = SyllableWord(3, (Syllable((1,), 2, 1),))
+        with pytest.raises(TypeError):
+            SyllableWord(3, s.syllables, s.word)
+        t = SyllableWord(3, s.syllables)
+        object.__setattr__(t, "word", BraidWord(3, []))
+        assert s == t and hash(s) == hash(t)
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):
@@ -60,7 +71,7 @@ class TestValidation:
         (3, (), 1.0, 1), (3, (), "1", 1), (3, (), 1, 1.0),
     ])
     def test_every_letter_is_an_int(self, strands, conjugator, generator, sign):
-        """expand builds its word unchecked, so a letter that is not an int
+        """The expansion is built unchecked, so a letter that is not an int
         is refused when the syllable word is built."""
         with pytest.raises(ValueError):
             SyllableWord(strands, (Syllable(conjugator, generator, sign),))
@@ -81,7 +92,7 @@ class TestSyllableReport:
         s = SyllableWord(3, (Syllable((2,), 1, 1),))
         r = qp_report(s)
         assert r["bt_upper"] == 0
-        assert fdtc_exact(expand(s)).value == 0
+        assert fdtc_exact(s.word).value == 0
 
     def test_mixed_sign_bounds(self):
         """A word with a negative band gets no bound; its exact twist
@@ -97,7 +108,7 @@ class TestSyllableReport:
         r = qp_report(s)
         assert not r["all_positive"]
         assert r["chi4"] is None and r["g4"] is None and r["bt_upper"] is None
-        assert fdtc_exact(expand(s)).value == 0
+        assert fdtc_exact(s.word).value == 0
 
     def test_non_knot_closure_reported(self):
         s = SyllableWord(3, (Syllable((), 1, 1), Syllable((), 1, 1)))
@@ -108,7 +119,7 @@ class TestCheckBound:
     def test_single_band(self):
         s = SyllableWord(3, (Syllable((2, 1), 2, 1),))
         assert qp_bt_check(s)[1]
-        assert fdtc_exact(expand(s)).value == 0
+        assert fdtc_exact(s.word).value == 0
 
     def test_positive_word_as_bands(self):
         letters = [1, 2, 1, 2]

@@ -131,10 +131,7 @@ def parse_word(text: str, n: int) -> BraidWord:
                 raise ValueError(
                     f"letter {letter} is not a generator of the braid group on {n} strands"
                 )
-            if len(letters) + abs(exponent) > DEFAULT_STEP_CAP:
-                raise ValueError(
-                    f"token {token!r} expands the word past {DEFAULT_STEP_CAP} letters"
-                )
+            _check_length(f"the word up to token {token!r}", len(letters) + abs(exponent))
             letters.extend([letter] * abs(exponent))
             continue
         try:
@@ -147,9 +144,18 @@ def parse_word(text: str, n: int) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
+# format_word turns this many letters into strings at a time, so a long
+# word holds one slice of letter strings, not one string per letter.
+_FORMAT_SLICE = 65_536
+
+
 def format_word(w: BraidWord) -> str:
     """Inverse of parse_word's signed-integer form."""
-    return " ".join(str(g) for g in w.letters)
+    letters = w.letters
+    return " ".join(
+        " ".join(map(str, letters[i : i + _FORMAT_SLICE]))
+        for i in range(0, len(letters), _FORMAT_SLICE)
+    )
 
 
 def _free_reduce_letters(letters) -> list[int]:

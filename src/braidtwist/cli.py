@@ -53,7 +53,7 @@ from .murasugi import (
     is_quasi_alternating,
     to_word,
 )
-from .ordering import ReductionCapError, compare, order_sign
+from .ordering import compare, order_sign
 from .quasipositive import parse_syllables, qp_bt_check, qp_report
 
 
@@ -236,7 +236,7 @@ def _cmd_audit(args) -> int:
             counts["entries"] += 1
             try:
                 record = _audit_one(_entry(line), args.predicates, args.cap)
-            except (ValueError, ReductionCapError) as e:
+            except ValueError as e:
                 counts["errors"] += 1
                 _emit(args, {"line": lineno, "error": str(e)}, f"line {lineno}: error: {e}")
                 continue
@@ -379,7 +379,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args) or 0
     except BrokenPipeError:  # not an input error: main() ends quietly
         raise
-    except (ReductionCapError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

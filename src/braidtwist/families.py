@@ -64,7 +64,8 @@ def generate(spec: FamilySpec) -> BraidWord:
     if isinstance(spec, Ktd):
         _check_length(name, 6 * spec.m + 2 + 2 * spec.k)
         w = BraidWord(3, [2, 1] * (3 * spec.m + 1) + [-2] * (2 * spec.k))
-        assert closure_components(w) == 1, "Ktd closure must be a knot"
+        if closure_components(w) != 1:
+            raise RuntimeError("the Ktd closure is not a knot (engine bug)")
         return w
     if isinstance(spec, BTtau):
         _check_length(name, 12 * spec.k)

@@ -30,7 +30,9 @@ is sigma-definite: both signs at the lowest index would put an
 adjacent opposite pair of that index around an interior of strictly
 larger index, which is a handle.  So a reduction sweeps at most once:
 not at all if the freely reduced word is already empty or
-sigma-definite, and a swept word that is neither raises RuntimeError.
+sigma-definite, and a swept word that is neither raises RuntimeError,
+as every engine fault here does.  A sweep past its step cap raises
+ReductionCapError, a ValueError: the input is refused for its cost.
 
 A sweep holds two plain lists: the letters read, and those still to
 read, reversed so that the next is last.  A handle closing against the
@@ -58,11 +60,10 @@ class OrderSign(enum.Enum):
     GREATER = "GT"
 
 
-class ReductionCapError(RuntimeError):
-    """Handle reduction ran past its step cap.
-
-    The cap exists to distinguish runaway reduction from long but
-    legitimate computations; hitting it is never a valid outcome.
+class ReductionCapError(ValueError):
+    """Handle reduction ran past its step cap: the input is refused for
+    its cost, as a word over the letter budget is for its length, so this
+    is a ValueError and never a RuntimeError, which means an engine bug.
     """
 
 

@@ -94,6 +94,30 @@ class TestParseFormat:
     def test_round_trip(self, w):
         assert parse_word(format_word(w), w.strands) == w
 
+    def test_alias_past_the_letter_budget_is_refused(self):
+        """An alias token is counted against the letter budget with the
+        letters before it, by the one length check every word builder uses."""
+        with pytest.raises(
+            ValueError,
+            match=r"^the word up to token 's1\^10000000' would have 10000001 letters, "
+            r"more than 10000000$",
+        ):
+            parse_word("2 s1^10000000", 3)
+
+    def test_format_word_holds_one_slice_of_letters(self):
+        """A 1,000,000-letter word is formatted in at most 8 MiB of peak
+        allocation (2.4 MiB of it the output), and into the same text as
+        one join of every letter."""
+        w = BraidWord(3, [1, -2] * 500_000)
+        tracemalloc.start()
+        try:
+            text = format_word(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert text == " ".join(map(str, w.letters))
+
 
 class TestAlgebra:
     def test_inverse(self):
@@ -265,7 +289,7 @@ class TestMakePositive:
         assert out.letters == (1,)
 
     def test_insufficient_twisting_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need t >= 2"):
             make_positive(BraidWord(3, [-1, -2]), 1)
 
     def test_random_words_certified(self):

@@ -1,6 +1,7 @@
 import pytest
 
 import braidtwist.braid as braid
+import braidtwist.families as families
 from braidtwist import BraidWord, closure_components, exponent_counts, garside_delta
 from braidtwist.families import BTtau, FullTwists, Ktd, Torus, generate
 
@@ -17,6 +18,12 @@ class TestKtd:
         for m in range(4):
             for k in (1, 2, 5):
                 assert closure_components(generate(Ktd(m, k))) == 1
+
+    def test_a_closure_that_is_not_a_knot_is_an_engine_fault(self, monkeypatch):
+        """The Ktd knot check is an explicit raise, which python -O keeps."""
+        monkeypatch.setattr(families, "closure_components", lambda w: 2)
+        with pytest.raises(RuntimeError, match=r"\(engine bug\)"):
+            generate(Ktd(0, 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):

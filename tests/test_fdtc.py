@@ -410,7 +410,7 @@ class TestFdtcInterval:
             assert hi - lo == Fraction(1, N)
 
     def test_power_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="power must be positive"):
             fdtc_interval(BraidWord(3, [1]), 0)
 
 
@@ -638,7 +638,7 @@ class TestFdtcExact:
         with monkeypatch.context() as patch:
             patch.setattr(fdtc, "_PowerSearch", no_search)
             for function in (fdtc_exact, dehornoy_floor):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="step cap must be nonnegative"):
                     function(BraidWord(3, [1, 2]), cap=-1)
         resolved = []
         effective_cap = ordering._effective_cap

@@ -1,10 +1,13 @@
+import ast
 import hashlib
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braidtwist
 import braidtwist.dynnikov as dynnikov
 import braidtwist.ordering as ordering
 from braidtwist import (
@@ -18,6 +21,7 @@ from braidtwist import (
     permutation,
 )
 from braidtwist.braid import _free_reduce_letters, exponent_counts
+from braidtwist.fdtc import fdtc_exact
 from braidtwist.ordering import DEFAULT_STEP_CAP
 from oracles import syntactic_sigma_class
 
@@ -237,7 +241,7 @@ class TestCompare:
                 assert compare(delta2 * beta, beta * delta2) is OrderSign.EQUAL
 
     def test_strand_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strand counts differ"):
             compare(BraidWord(3, [1]), BraidWord(4, [1]))
 
     def test_left_invariance_sample(self):
@@ -249,6 +253,16 @@ class TestCompare:
 
 
 class TestStepCap:
+    def test_cap_error_is_a_domain_error_not_an_engine_fault(self):
+        """A run over the step cap refuses the input, as a word over the
+        letter budget is refused: a ValueError, never the RuntimeError
+        that means an engine bug."""
+        assert issubclass(ReductionCapError, ValueError)
+        assert not issubclass(ReductionCapError, RuntimeError)
+        with pytest.raises(ReductionCapError, match="exceeded the 2-step cap"):
+            with pytest.raises(RuntimeError):
+                fdtc_exact(BraidWord(3, [1, -2] * 8), cap=2)
+
     def test_kwarg_cap_raises(self):
         rng = random.Random(1)
         w = random_word(rng, 4, 40)
@@ -266,3 +280,19 @@ class TestStepCap:
         handle_reduce(w, cap=r)
         with pytest.raises(ReductionCapError):
             handle_reduce(w, cap=r - 1)
+
+
+def test_every_runtime_error_is_an_engine_bug():
+    """The library holds no assert, which python -O would strip, and every
+    RuntimeError it raises says "(engine bug)", so a caught RuntimeError
+    is always an engine fault and never a refused input."""
+    raises = 0
+    for path in sorted(pathlib.Path(braidtwist.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), f"assert in {path.name}:{node.lineno}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = ast.unparse(node.exc)
+                if exc.startswith("RuntimeError"):
+                    raises += 1
+                    assert "(engine bug)" in exc, f"{path.name}:{node.lineno}"
+    assert raises

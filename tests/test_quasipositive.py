@@ -135,12 +135,12 @@ class TestCheckBound:
 
     def test_needs_three_strands(self):
         s = SyllableWord(2, (Syllable((), 1, 1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs at least 3 strands"):
             qp_bt_check(s)
 
     def test_needs_positive_bands(self):
         s = SyllableWord(3, (Syllable((), 1, -1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs an all-positive word"):
             qp_bt_check(s)
 
 

@@ -102,7 +102,6 @@ integer operations per letter, and needs no budget.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,7 +142,6 @@ class FdtcResult:
     floor: int
 
 
-@functools.lru_cache(maxsize=4)
 def _full_twists(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The letters of Delta^2 = (s_1 ... s_(n-1))^n and of Delta^-2 on n
     strands.  ValueError, before any letter is built, if the n(n-1)

@@ -15,8 +15,8 @@ order:
               counterexample candidates, not errors)
   slice3      |BT| <= 1 for 3-braids whose closure has finite
               concordance order
-  qp          0 <= BT <= m - 1 for quasipositive words of m bands,
-              plus the question15 form when g4 is also supplied
+  qp          0 <= BT <= m - 1 for quasipositive words of m bands on 3
+              or more strands, plus the question15 form when g4 is supplied
 
 INPUTS, a second table, names the five inputs the predicates read (g3,
 g4, g4_upper, finite_concordance_order, qp_length), each with its
@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple
 from .braid import BraidWord, _plain, closure_components, exponent_counts, integer
 # dehornoy_floor is not called here; bench/spans.py wraps it under this module's name.
 from .fdtc import dehornoy_floor, fdtc_exact  # noqa: F401
+from .quasipositive import _bt_upper
 
 
 def tau_s_bounds(w: BraidWord) -> dict:
@@ -147,9 +148,11 @@ def _slice3(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
 
 def _qp(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
     m = values["qp_length"]
-    upper = Fraction(m - 1)
+    upper = _bt_upper(n, m)
+    if upper is None:
+        return "skipped", {"reason": "needs at least 3 strands"}
     ok = 0 <= bt <= upper
-    details = {"qp_length": m, "bound": upper}
+    details = {"qp_length": m, "bound": Fraction(upper)}
     if values["g4"] is not None:
         details["genus_bound"] = 2 * values["g4"] + n - 2
         ok = ok and bt <= details["genus_bound"]

@@ -3,11 +3,11 @@
 A syllable word is a product of conjugated generators
 (w_1 sigma_{i_1} w_1^{-1})^{e_1} ... (w_m sigma_{i_m} w_m^{-1})^{e_m}.
 All-positive syllable words are exactly the quasipositive braids; for
-those, m bands give chi_4 = n - m for the closure surface and the twist
-coefficient is trapped in [0, m-1], which qp_bt_check verifies with
-the engine.  A word with a negative band gets no bound here: its exact
-twist coefficient is fdtc_exact of its expansion, SyllableWord.word,
-which is checked and made once, when the syllable word is.
+those, m bands give chi_4 = n - m for the closure surface and, on 3 or
+more strands, trap the twist coefficient in [0, m-1], which qp_bt_check
+verifies with the engine.  A word with a negative band gets no bound:
+its exact twist coefficient is fdtc_exact of its expansion,
+SyllableWord.word, checked and made once, when the syllable word is.
 """
 
 from __future__ import annotations
@@ -64,8 +64,11 @@ class SyllableWord:
         word = BraidWord._unchecked(self.strands, tuple(_free_reduce_letters(letters)))
         object.__setattr__(self, "word", word)
 
-    def __len__(self) -> int:
-        return len(self.syllables)
+
+def _bt_upper(strands: int, bands: int) -> int | None:
+    """m - 1, the top of the window [0, m - 1] that holds BT of a quasipositive
+    braid of m bands on 3 or more strands; None on 2, where BT(sigma_1) = 1/2."""
+    return bands - 1 if strands >= 3 else None
 
 
 def qp_report(s: SyllableWord) -> dict:
@@ -74,8 +77,8 @@ def qp_report(s: SyllableWord) -> dict:
     The keys, in order: qp_length (the band count m), chi4, g4, bt_upper,
     all_positive and closure_is_knot.  chi4 = n - m, g4 = (m - n + 1)/2
     and bt_upper = m - 1 hold only for all-positive words (g4 further
-    needs a knot closure); they are None when inapplicable.  The exact
-    twist coefficient of any syllable word is fdtc_exact of s.word.
+    needs a knot closure, bt_upper 3 or more strands); they are None when
+    inapplicable.  The exact BT of any syllable word is fdtc_exact of s.word.
     """
     n = s.strands
     m = len(s.syllables)
@@ -85,7 +88,7 @@ def qp_report(s: SyllableWord) -> dict:
         "qp_length": m,
         "chi4": n - m if all_positive else None,
         "g4": Fraction(m - n + 1, 2) if all_positive and knot else None,
-        "bt_upper": m - 1 if all_positive else None,
+        "bt_upper": _bt_upper(n, m) if all_positive else None,
         "all_positive": all_positive,
         "closure_is_knot": knot,
     }
@@ -95,18 +98,18 @@ def qp_bt_check(s: SyllableWord, *, cap: int | None = None) -> tuple[Fraction, b
     """BT of s from the engine, run on s.word, and whether it lies in [0, m-1].
 
     ValueError before the engine runs unless s is an all-positive syllable
-    word on at least 3 strands.  The bound is a theorem for those, so
-    False is an engine bug, not a property of the input.  B_2 is excluded:
-    BT(sigma_1) = 1/2 there, which already breaks the m = 1 case.
+    word on at least 3 strands (_bt_upper).  The bound is a theorem for
+    those, so False is an engine bug, not a property of the input.
     """
-    if s.strands < 3:
+    upper = _bt_upper(s.strands, len(s.syllables))
+    if upper is None:
         raise ValueError("the syllable bound needs at least 3 strands")
     if not s.syllables:
         raise ValueError("need at least one syllable")
     if any(syl.sign != 1 for syl in s.syllables):
         raise ValueError("the syllable bound needs an all-positive word")
     bt = fdtc_exact(s.word, cap=cap).value
-    return bt, 0 <= bt <= len(s.syllables) - 1
+    return bt, 0 <= bt <= upper
 
 
 def parse_syllables(text: str, strands: int) -> SyllableWord:

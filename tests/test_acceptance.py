@@ -83,16 +83,15 @@ def test_criterion_02_exact_fdtc_closed_forms():
 def test_criterion_03_murasugi_cross_check_grid():
     start = time.perf_counter()
     forms = []
-    a_tuples = (
-        (1,), (2,), (3,), (4,),
-        (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3),
-        (1, 1, 1), (2, 1, 2),
-    )
+    # Every tuple from {1, 2, 3} of length 1 to 3, then (4,).
+    a_tuples = [
+        a for length in (1, 2, 3) for a in itertools.product((1, 2, 3), repeat=length)
+    ] + [(4,)]
     for d in range(-2, 3):
         forms.extend(Class1(d, a) for a in a_tuples)
         forms.extend(Class2(d, m) for m in range(-6, 7) if m != 0)
         forms.extend(Class3(d, m) for m in (-1, -2, -3))
-    assert len(forms) >= 100
+    assert len(forms) == 275
     for form in forms:
         assert cross_check(form), form
     elapsed = time.perf_counter() - start

@@ -82,6 +82,19 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             BraidWord(1, [])
 
+    @pytest.mark.parametrize("n", [1, 0])
+    @pytest.mark.parametrize("build", [
+        lambda n: parse_word("1", n),
+        lambda n: garside_delta(n),
+        lambda n: garside_delta(n, squared=True),
+    ], ids=("parse_word", "delta", "delta_squared"))
+    def test_fewer_than_two_strands_are_refused_first(self, build, n):
+        """parse_word refuses the strand count before it reads a token, and
+        garside_delta, which builds its word unchecked, before it builds
+        one: without that guard garside_delta(1) would be a 1-strand word."""
+        with pytest.raises(ValueError, match=f"need at least 2 strands, got {n}"):
+            build(n)
+
     @pytest.mark.parametrize(
         "strands, letters", [("3", (1,)), (3, (1.5,)), (3, (True,)), (True, ()), (3.0, (1,))]
     )
@@ -335,15 +348,17 @@ class TestFullTwistFrom:
 
 
     def test_words_are_not_kept_after_the_call(self):
-        """Delta and Delta^2 words are built on each call, not cached: a
-        loop over 40 strand counts, about 6 million letters in all, leaves
-        almost nothing allocated once the words are dropped."""
+        """Delta and Delta^2 words, and the full twists fdtc builds, are
+        built on each call, not cached: a loop over 40 strand counts, about
+        14 million letters in all, leaves almost nothing allocated once the
+        words are dropped."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for n in range(300, 340):
                 garside_delta(n)
                 garside_delta(n, squared=True)
+                fdtc._full_twists(n)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

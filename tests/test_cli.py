@@ -127,6 +127,11 @@ class TestMurasugiCommand:
         assert run(["murasugi", "--class", "1", "--d", "0"]) == 1
         assert "needs --a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cls", ["2", "3"])
+    def test_class2_and_class3_require_m(self, capsys, cls):
+        assert run(["murasugi", "--class", cls, "--d", "0", "--a", "1"]) == 1
+        assert f"error: class {cls} needs --m" in capsys.readouterr().err
+
 
 class TestQpCommand:
     def test_json_report(self, capsys):

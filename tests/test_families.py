@@ -111,3 +111,9 @@ class TestLetterBudget:
     def test_zero_twists_build_no_twist(self):
         base = BraidWord(HUGE, [1])
         assert generate(FullTwists(base, 0)) == base
+
+
+@pytest.mark.parametrize("spec", [None, "ktd", (0, 1), BraidWord(3, [1])])
+def test_a_value_that_is_not_a_spec_is_refused(spec):
+    with pytest.raises(ValueError, match="not a family spec"):
+        generate(spec)

@@ -144,6 +144,35 @@ def conjugated_words(draw):
     return BraidWord(n, core).conjugate_by(BraidWord(n, c))
 
 
+def seeded_periodic_words(rng):
+    """(word, closed-form value) for delta^j and epsilon^j in B_2 to B_7,
+    j in [-2n, 2n], each conjugated by up to 5 letters drawn from rng:
+    delta = s1 ... s_(n-1) and epsilon = s1 delta, so delta^n =
+    epsilon^(n-1) = Delta^2 and the value is j/n or j/(n-1)."""
+    for n in range(2, 8):
+        delta = BraidWord(n, range(1, n))
+        epsilon = BraidWord(n, (1,)) * delta
+        gens = [g for g in range(1 - n, n) if g]
+        for j in range(-2 * n, 2 * n + 1):
+            for root, order in ((delta, n), (epsilon, n - 1)):
+                c = BraidWord(n, rng.choices(gens, k=rng.randint(0, 5)))
+                yield (root**j).conjugate_by(c), Fraction(j, order)
+
+
+def seeded_mixed_words(count, rng):
+    """Words in B_3 to B_8 of up to 16 letters drawn from rng, every other
+    one drawing positive letters three times as often as negative ones (so
+    that not nearly every value is 0); every third is conjugated."""
+    for i in range(count):
+        n = 3 + i % 6
+        gens = [g for g in range(1 - n, n) if g]
+        pool = gens + [g for g in gens if g > 0] * (2 * (i % 2))
+        w = BraidWord(n, rng.choices(pool, k=rng.randint(0, 16)))
+        if i % 3 == 2:
+            w = w.conjugate_by(BraidWord(n, rng.choices(gens, k=rng.randint(1, 4))))
+        yield w
+
+
 class TestTwistedPower:
     # (P, t) claims: long runs (t = 1, t = P - 1), several runs, negative
     # slopes, non-coprime pairs and P = 1.
@@ -535,6 +564,25 @@ class TestFdtcExact:
             (q, p), = claims
             assert Fraction(p, q) == r.value and q <= w.strands
             assert r.floor == r.floor_of_power // r.power_used
+
+    def test_seeded_periodic_words_get_their_closed_forms(self, check_fdtc_certificate):
+        """228 conjugated delta^j and epsilon^j: each value is its closed
+        form, and the certificate checks out against dehornoy_floor of the
+        reported power, which has no periodic path."""
+        words = list(seeded_periodic_words(random.Random(1)))
+        assert len(words) == 228
+        for w, want in words:
+            r = fdtc_exact(w)
+            assert r.value == want, w
+            check_fdtc_certificate(w, r.value, r.power_used, r.floor_of_power, *r.interval)
+
+    def test_seeded_mixed_words_certificates_check_out(self, check_fdtc_certificate):
+        """600 mixed words in B_3 to B_8: each record's certificate checks
+        out from scratch, and its floor is dehornoy_floor of the word."""
+        for w in seeded_mixed_words(600, random.Random(1)):
+            r = fdtc_exact(w)
+            check_fdtc_certificate(w, r.value, r.power_used, r.floor_of_power, *r.interval)
+            assert r.floor == dehornoy_floor(w), w
 
     @given(periodic_words())
     @settings(max_examples=40, deadline=None)

@@ -127,6 +127,14 @@ class TestAuditBounds:
         assert entry["status"] == "pass"
         assert entry["bound"] == 1
 
+    def test_qp_skipped_on_two_strands(self):
+        """BT(sigma_1) = 1/2 on 2 strands: the window [0, m - 1] needs 3."""
+        record = audit_bounds(BraidWord(2, [1]), qp_length=1)
+        (entry,) = record["predicates"]
+        assert entry == {"predicate": "qp", "status": "skipped",
+                         "reason": "needs at least 3 strands"}
+        assert record["fdtc"] == Fraction(1, 2)
+
     def test_auto_selection_includes_only_supplied(self):
         w = BraidWord(3, [1, 2])
         record = audit_bounds(w, g3=1, qp_length=2)

@@ -76,6 +76,13 @@ class TestValidation:
             Class3(0, 1)
 
 
+    @pytest.mark.parametrize("function", [to_word, fdtc_3braid, is_quasi_alternating])
+    @pytest.mark.parametrize("form", [(0, (1,)), None, braid.BraidWord(3, [1])])
+    def test_a_value_that_is_not_a_normal_form_is_refused(self, function, form):
+        with pytest.raises(ValueError, match="not a Murasugi normal form"):
+            function(form)
+
+
 class TestFdtcClosedForm:
     def test_class1(self):
         assert fdtc_3braid(Class1(2, (1, 3))) == 2

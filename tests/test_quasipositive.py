@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidtwist import BraidWord, braid
 from braidtwist.fdtc import fdtc_exact
@@ -21,6 +23,21 @@ def random_syllable_word(rng, n, m, max_conj=4):
         conj = tuple(rng.choice(gens) for _ in range(rng.randint(0, max_conj)))
         syllables.append(Syllable(conj, rng.randint(1, n - 1), 1))
     return SyllableWord(n, tuple(syllables))
+
+
+@st.composite
+def syllable_words(draw):
+    """1 to 4 bands on 2 to 5 strands, each conjugated by up to 3 letters
+    and positive three times in four."""
+    n = draw(st.integers(2, 5))
+    gens = st.sampled_from([g for g in range(-(n - 1), n) if g])
+    band = st.builds(
+        Syllable,
+        st.lists(gens, max_size=3).map(tuple),
+        st.integers(1, n - 1),
+        st.sampled_from((1, 1, 1, -1)),
+    )
+    return SyllableWord(n, tuple(draw(st.lists(band, min_size=1, max_size=4))))
 
 
 class TestExpand:
@@ -113,6 +130,15 @@ class TestSyllableReport:
     def test_non_knot_closure_reported(self):
         s = SyllableWord(3, (Syllable((), 1, 1), Syllable((), 1, 1)))
         assert not qp_report(s)["closure_is_knot"]
+
+    @given(syllable_words())
+    @example(SyllableWord(2, (Syllable((), 1, 1),)))  # BT(sigma_1) = 1/2 on 2 strands
+    @settings(max_examples=60, deadline=None)
+    def test_engine_twist_lies_under_every_reported_bound(self, s):
+        """Whenever the report gives bt_upper, the engine's BT is in [0, bt_upper]."""
+        upper = qp_report(s)["bt_upper"]
+        if upper is not None:
+            assert 0 <= fdtc_exact(s.word).value <= upper
 
 
 class TestCheckBound:

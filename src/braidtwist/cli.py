@@ -64,9 +64,13 @@ def _fraction_text(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _render(args, report: dict, text: str) -> str:
+    """One result as printed: the report as a JSON object under --json, else the text."""
+    return json.dumps(report, default=_fraction_text) if args.json else text
+
+
 def _emit(args, report: dict, text: str) -> None:
-    """Print one result: the report as a JSON object under --json, else the text."""
-    print(json.dumps(report, default=_fraction_text) if args.json else text)
+    print(_render(args, report, text))
 
 
 def _cmd_parse(args) -> None:
@@ -235,24 +239,26 @@ def _cmd_audit(args) -> int:
                 continue
             counts["entries"] += 1
             try:
-                record = _audit_one(_entry(line), args.predicates, args.cap)
+                record = {"line": lineno, **_audit_one(_entry(line), args.predicates, args.cap)}
+                parts = [f"floor={record['floor']}", f"fdtc={record['fdtc']}"]
+                parts += [f"{p['predicate']}:{p['status']}" for p in record["predicates"]]
+                parts += [
+                    f"expected_{key}:{'ok' if check['matched'] else 'MISMATCH'}"
+                    for key, check in record.get("expected", {}).items()
+                ]
+                # Rendered before it counts: a number too long to print as
+                # text makes this line an error record, not the audit's end.
+                rendered = _render(args, record, f"line {lineno}: " + " ".join(parts))
             except ValueError as e:
                 counts["errors"] += 1
                 _emit(args, {"line": lineno, "error": str(e)}, f"line {lineno}: error: {e}")
                 continue
-            record = {"line": lineno, **record}
             for entry_result in record["predicates"]:
                 counts[entry_result["status"]] += 1
             for check in record.get("expected", {}).values():
                 if not check["matched"]:
                     counts["mismatches"] += 1
-            parts = [f"floor={record['floor']}", f"fdtc={record['fdtc']}"]
-            parts += [f"{p['predicate']}:{p['status']}" for p in record["predicates"]]
-            parts += [
-                f"expected_{key}:{'ok' if check['matched'] else 'MISMATCH'}"
-                for key, check in record.get("expected", {}).items()
-            ]
-            _emit(args, record, f"line {lineno}: " + " ".join(parts))
+            print(rendered)
     _emit(args, {"summary": counts}, (
         f"audited {counts['entries']} entries: {counts['pass']} pass, "
         f"{counts['fail']} fail, {counts['counterexample-candidate']} "

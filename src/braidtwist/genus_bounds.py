@@ -57,7 +57,8 @@ def tau_s_bounds(w: BraidWord) -> dict:
 
 
 def _fraction(key: str, value) -> Fraction:
-    if type(value) is not str or _plain(value):
+    # Fraction() would read "1e10000000" by computing 10**10000000.
+    if type(value) is not str or (_plain(value) and "e" not in value.lower()):
         try:
             return Fraction(str(value))
         except ZeroDivisionError:

@@ -5,9 +5,11 @@ with stated wall-clock limits are asserted with time.perf_counter.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from braidtwist import (
     BraidWord,
@@ -45,13 +47,20 @@ def random_knot_word(rng, n, max_len):
 
 
 def test_criterion_01_family_floor_grid():
+    """Floor m on Ktd(m, k) for m 0-6 and k 1-10, in the m-major order of
+    the committed audit corpus, whose lines are these words and floors."""
+    corpus = (Path(__file__).parent / "golden" / "ktd_corpus.jsonl").read_text(encoding="utf-8")
+    entries = [json.loads(line) for line in corpus.splitlines()]
+    grid = [(m, k) for m in range(7) for k in range(1, 11)]
+    assert len(entries) == len(grid)
     start = time.perf_counter()
     checked = 0
-    for m in range(7):
-        for k in range(1, 11):
-            w = generate(Ktd(m, k))
-            assert dehornoy_floor(w) == m, (m, k)
-            checked += 1
+    for (m, k), entry in zip(grid, entries):
+        w = generate(Ktd(m, k))
+        assert (entry["n"], entry["word"]) == (w.strands, list(w.letters)), (m, k)
+        assert entry["meta"]["expected_floor"] == m, (m, k)
+        assert dehornoy_floor(w) == m, (m, k)
+        checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30
     print(

@@ -362,6 +362,20 @@ class TestAuditCommand:
         out = [json.loads(line) for line in lines(capsys)]
         assert out[0] == {"line": 1, "error": "closure is not a knot"}
 
+    def test_record_too_long_to_print_is_an_error_record(self, tmp_path, capsys):
+        """A g4 of 4,300 nines is read, but question15's bound 2*g4 + n - 2
+        has more digits than Python prints as text: that line is an error
+        record, and the next line and the summary still print."""
+        nines = json.dumps({"n": 3, "word": [1, 2], "meta": {"g4": "9" * 4300}})
+        path = self.corpus(tmp_path, nines + '\n{"n": 3, "word": [1, 2]}\n')
+        assert run(["audit", "--json", path]) == 1
+        out = [json.loads(line) for line in lines(capsys)]
+        assert len(out) == 3
+        assert out[0]["line"] == 1 and "integer string conversion" in out[0]["error"]
+        assert out[1] == {"line": 2, "strands": 3, "floor": 0, "fdtc": "1/3", "predicates": [],
+                          "word": [1, 2]}
+        assert out[2]["summary"]["errors"] == 1 and out[2]["summary"]["pass"] == 0
+
     def test_out_of_range_input_is_refused_whatever_the_predicates(self, tmp_path, capsys):
         """A band count below 1 is an error record even when qp does not run."""
         path = self.corpus(

@@ -25,9 +25,6 @@ as a differential oracle.
 
 from __future__ import annotations
 
-from .braid import BraidWord
-from .ordering import OrderSign
-
 
 def start(n: int) -> list[int]:
     """Coordinates of the standard lamination on n strands (the identity braid)."""
@@ -73,8 +70,3 @@ def sign(coords: list[int]) -> int:
             return 1 if x > 0 else -1
     return 0
 
-
-def order_sign(w: BraidWord) -> OrderSign:
-    """Position of the braid of w relative to the identity."""
-    s = sign(act(start(w.strands), w.letters))
-    return OrderSign.GREATER if s > 0 else OrderSign.LESS if s < 0 else OrderSign.EQUAL

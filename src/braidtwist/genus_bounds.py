@@ -21,9 +21,10 @@ order:
 INPUTS, a second table, names the five inputs the predicates read (g3,
 g4, g4_upper, finite_concordance_order, qp_length), each with its
 reader, which holds the whole check of a value: a genus must be a
-rational >= 0 and qp_length an integer >= 1.  audit_bounds reads every
-value through it, whether a library caller supplies it or the CLI
-passes a bounds flag or corpus meta.
+rational >= 0 of at most 4000 digits above and below the fraction bar,
+and qp_length an integer >= 1.  audit_bounds reads every value through
+it, whether a library caller supplies it or the CLI passes a bounds
+flag or corpus meta.
 """
 
 from __future__ import annotations
@@ -89,8 +90,15 @@ def _boolean(key: str, value) -> bool | None:
     )
 
 
+# A genus must stay printable in every bound built from it, such as
+# 2*g4 + n - 2, and Python writes no int of more than 4,300 digits as text.
+_GENUS_LIMIT = 10**4000  # the smallest number of 4,001 digits
+
+
 def _genus(key: str, value) -> Fraction:
     genus = _fraction(key, value)
+    if abs(genus.numerator) >= _GENUS_LIMIT or genus.denominator >= _GENUS_LIMIT:
+        raise ValueError(f"{key} must have at most 4000 digits above and below the fraction bar")
     if genus < 0:
         raise ValueError(f"{key} must be nonnegative, got {genus}")
     return genus

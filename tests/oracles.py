@@ -12,7 +12,12 @@ the full twist that begins with any generator is the word fdtc builds
 from sigma_1, and make_positive uses it to write w * Delta^(2t) as a
 positive word whose genus positive_braid_genus reads off (acceptance
 criterion 5).  Only tests feed these tools, so they spend no letter
-budget.  format_syllables inverts parse_syllables.
+budget.  format_syllables inverts parse_syllables, and
+dynnikov_order_sign reads a word's order sign off its Dynnikov
+coordinates, the differential oracle for handle reduction.
+
+random_word (seeded) and words (a hypothesis strategy) draw the test
+words: letters uniform over the generators and their inverses.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+from braidtwist import dynnikov
 from braidtwist.braid import (
     BraidWord,
     _conjugate_split,
@@ -182,3 +190,24 @@ def format_syllables(s: SyllableWord) -> str:
         f"{'+' if syl.sign > 0 else '-'}"
         for syl in s.syllables
     )
+
+
+def dynnikov_order_sign(w: BraidWord) -> OrderSign:
+    """Position of the braid of w relative to the identity, by Dynnikov
+    coordinates alone."""
+    s = dynnikov.sign(dynnikov.act(dynnikov.start(w.strands), w.letters))
+    return OrderSign.GREATER if s > 0 else OrderSign.LESS if s < 0 else OrderSign.EQUAL
+
+
+def random_word(rng, n: int, length: int) -> BraidWord:
+    """A word of length letters in B_n, each drawn by rng."""
+    gens = [g for g in range(-(n - 1), n) if g]
+    return BraidWord(n, [rng.choice(gens) for _ in range(length)])
+
+
+@st.composite
+def words(draw, min_strands=2, max_strands=5, *, max_len):
+    """Words in B_min_strands to B_max_strands of at most max_len letters."""
+    n = draw(st.integers(min_strands, max_strands))
+    gens = [g for g in range(-(n - 1), n) if g]
+    return BraidWord(n, draw(st.lists(st.sampled_from(gens), max_size=max_len)))

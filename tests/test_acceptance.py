@@ -31,12 +31,7 @@ from braidtwist.quasipositive import (
     qp_bt_check,
     qp_report,
 )
-from oracles import g4_torus_difference, make_positive, positive_braid_genus
-
-
-def random_word(rng, n, length):
-    gens = [g for g in range(-(n - 1), n) if g]
-    return BraidWord(n, [rng.choice(gens) for _ in range(length)])
+from oracles import g4_torus_difference, make_positive, positive_braid_genus, random_word
 
 
 def random_knot_word(rng, n, max_len):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import braidtwist.cli as cli
 import braidtwist.fdtc as fdtc
-import braidtwist.dynnikov as dynnikov
 import braidtwist.ordering as ordering
 from braidtwist import BraidWord, OrderSign, ReductionCapError, compare, garside_delta
 from braidtwist.braid import free_reduce
@@ -22,12 +21,14 @@ from braidtwist.fdtc import (
     dehornoy_floor,
     fdtc_exact,
 )
-from oracles import destab_bounds, syntactic_sigma_class, word_sign_bounds
-
-
-def random_word(rng, n, length):
-    gens = [g for g in range(-(n - 1), n) if g]
-    return BraidWord(n, [rng.choice(gens) for _ in range(length)])
+from oracles import (
+    destab_bounds,
+    dynnikov_order_sign,
+    random_word,
+    syntactic_sigma_class,
+    word_sign_bounds,
+    words,
+)
 
 
 def at_least(search, P, t, *, cap=None):
@@ -126,14 +127,6 @@ def periodic_words(draw):
 
 
 @st.composite
-def small_words(draw):
-    """Words in B_3 to B_5 of at most 12 letters."""
-    n = draw(st.integers(3, 5))
-    gens = [g for g in range(-(n - 1), n) if g]
-    return BraidWord(n, draw(st.lists(st.sampled_from(gens), max_size=12)))
-
-
-@st.composite
 def conjugated_words(draw):
     """c u c^-1 in B_2 to B_5, the core u empty (a freely trivial word),
     one letter, or up to 6 letters, and c up to 4 letters."""
@@ -198,8 +191,8 @@ class TestTwistedPower:
             for t in {1, P - 1, 2, P // 2, P - 2, floor, floor + 1}:
                 target = delta2 ** (-t) * power
                 twisted = search.twisted_power(P, t)
-                assert dynnikov.order_sign(twisted.inverse() * target) is OrderSign.EQUAL
-                assert at_least(search, P, t) == (dynnikov.order_sign(target) is not OrderSign.LESS)
+                assert dynnikov_order_sign(twisted.inverse() * target) is OrderSign.EQUAL
+                assert at_least(search, P, t) == (dynnikov_order_sign(target) is not OrderSign.LESS)
 
     def test_core_is_the_balanced_arrangement(self):
         """The core of Delta^(-2t) w^P is the kept blocks B(k_1) ... B(k_P),
@@ -264,7 +257,7 @@ class TestTwistedPower:
 
 
 class TestShrunkPowers:
-    @given(small_words())
+    @given(words(min_strands=3, max_len=12))
     @settings(max_examples=40, deadline=None)
     def test_smaller_power_decides_the_same(self, w):
         """Delta^(2t) <= w^P exactly when Delta^(2t/2^j) <= w^(P/2^j), on
@@ -351,7 +344,7 @@ class TestDehornoyFloor:
             shifted = (delta2 ** c) * beta
             assert dehornoy_floor(shifted) == c + dehornoy_floor(beta)
 
-    @given(small_words())
+    @given(words(min_strands=3, max_len=12))
     @settings(max_examples=25, deadline=None)
     def test_fdtc_exact_reports_the_same_floor(self, w):
         assert fdtc_exact(w).floor == dehornoy_floor(w)
@@ -386,7 +379,7 @@ class TestDehornoyFloor:
             dehornoy_floor(w)
             assert len(calls) == 2
 
-    @given(small_words() | periodic_words().map(lambda case: case[0]))
+    @given(words(min_strands=3, max_len=12) | periodic_words().map(lambda case: case[0]))
     @settings(max_examples=40, deadline=None)
     def test_floor_probes_begin_the_fdtc_probes(self, w):
         """One descent serves both: the floor stops it at denominator 1,
@@ -502,14 +495,14 @@ class TestFdtcExact:
         with pytest.raises(ReductionCapError):
             fdtc_exact(w, cap=3)
 
-    @given(small_words())
+    @given(words(min_strands=3, max_len=12))
     @settings(max_examples=25, deadline=None)
     def test_value_lies_in_fixed_power_interval(self, w):
         n = w.strands
         lo, hi = fdtc_interval(w, n * n + 1)
         assert lo <= fdtc_exact(w).value <= hi
 
-    @given(small_words())
+    @given(words(min_strands=3, max_len=12))
     @settings(max_examples=25, deadline=None)
     def test_floor_of_doubled_power(self, w):
         for P in (1, 2, 4):

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import braidtwist.genus_bounds as genus_bounds
 from braidtwist import BraidWord, garside_delta
 from braidtwist.genus_bounds import PREDICATES, audit_bounds, tau_s_bounds
 from oracles import g4_torus_difference, torus_tau, upsilon_at_one
+
+TOO_LONG = "{} must have at most 4000 digits above and below the fraction bar"
 
 
 class TestTauSBounds:
@@ -182,6 +185,9 @@ class TestAuditBounds:
         ({"g4_upper": -1}, "g4_upper must be nonnegative, got -1"),
         ({"g3": 1, "qp_length": 0, "predicates": ["ito"]},
          "qp_length must be a positive band count, got 0"),
+        ({"g4": "9" * 4001}, TOO_LONG.format("g4")),
+        ({"g3": "1/" + "9" * 4001}, TOO_LONG.format("g3")),
+        ({"g4_upper": -(10**4000)}, TOO_LONG.format("g4_upper")),
     ])
     def test_inputs_are_read_as_the_cli_reads_them(self, kwargs, message):
         """The CLI's readers and messages, range checks included, before
@@ -189,6 +195,12 @@ class TestAuditBounds:
         for w in (BraidWord(3, [1, 2]), garside_delta(3, squared=True)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 audit_bounds(w, **kwargs)
+
+    def test_genus_of_4000_digits_is_read(self):
+        """The longest genus accepted, whose bounds still print as text."""
+        record = audit_bounds(BraidWord(3, [1, 2]), g3="1/" + "9" * 4000, g4="9" * 4000)
+        assert [p["predicate"] for p in record["predicates"]] == ["ito", "question15"]
+        assert len(json.dumps(record, default=str)) > 8000
 
     def test_unknown_input_is_a_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'g5'"):

@@ -100,6 +100,12 @@ for _name, _line in {
 }.items():
     _case(f"audit_{_name}", ["audit", "{corpus}"], _line + "\n" + _GOOD_LINE)
 
+# A genus of 4,300 nines, whose question15 bound 2*g4 + n - 2 is too long
+# to print: one error record for line 1 in text and JSON alike.
+_NINES = "9" * 4300
+_case("audit_g4_oversized", ["audit", "{corpus}"],
+      f'{{"n": 3, "word": [1, 2], "meta": {{"g4": "{_NINES}"}}}}\n{{"n": 3, "word": [1, 2]}}\n')
+
 # A CR inside a line is JSON whitespace: one record, not two error records.
 _case("audit_stray_cr", ["audit", "{corpus}"], '{"n": 3,\r "word": [1, 2]}\n')
 
@@ -131,6 +137,7 @@ _case("bounds_g3_padded", ["bounds", "--strands", "3", KNOT, "--g3", " 3 "])
 _case("bounds_g4_non_ascii_digit", ["bounds", "--strands", "3", KNOT, "--g4", "\u0661"])
 # An exponent, which Fraction() would read by computing 10**10000000.
 _case("bounds_g3_exponent", ["bounds", "--strands", "3", KNOT, "--g3", "1e10000000"])
+_case("bounds_g4_oversized", ["bounds", "--strands", "3", KNOT, "--g4", _NINES])
 _case("bounds_link", ["bounds", "--strands", "3", "1 1"])
 _case("bounds_link_with_g3", ["bounds", "--strands", "3", "1 1", "--g3", "1"])
 _case("bounds_link_with_predicates", ["bounds", "--strands", "3", "1 1", "--predicates", ""])

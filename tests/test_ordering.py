@@ -5,7 +5,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import braidtwist
 import braidtwist.dynnikov as dynnikov
@@ -23,20 +22,7 @@ from braidtwist import (
 from braidtwist.braid import _free_reduce_letters, exponent_counts
 from braidtwist.fdtc import fdtc_exact
 from braidtwist.ordering import DEFAULT_STEP_CAP
-from oracles import syntactic_sigma_class
-
-
-def random_word(rng, n, length):
-    gens = [g for g in range(-(n - 1), n) if g]
-    return BraidWord(n, [rng.choice(gens) for _ in range(length)])
-
-
-@st.composite
-def words(draw, min_strands=2, max_strands=5, max_len=10):
-    n = draw(st.integers(min_strands, max_strands))
-    gens = [g for g in range(-(n - 1), n) if g != 0]
-    letters = draw(st.lists(st.sampled_from(gens), max_size=max_len))
-    return BraidWord(n, letters)
+from oracles import random_word, syntactic_sigma_class, words
 
 
 class TestSigmaClass:
@@ -70,7 +56,7 @@ class TestHandleReduce:
         index, sign = syntactic_sigma_class(out)
         assert (index, sign) == (1, -1)
 
-    @given(words())
+    @given(words(max_len=10))
     @settings(max_examples=80, deadline=None)
     def test_result_is_sigma_definite_or_empty(self, w):
         out = handle_reduce(w)
@@ -78,7 +64,7 @@ class TestHandleReduce:
             return
         assert syntactic_sigma_class(out) is not None
 
-    @given(words())
+    @given(words(max_len=10))
     @settings(max_examples=80, deadline=None)
     def test_preserves_exponent_sum_and_permutation(self, w):
         out = handle_reduce(w)
@@ -205,12 +191,12 @@ class TestOrderSign:
         assert OrderSign.EQUAL.value == "EQ"
         assert OrderSign.GREATER.value == "GT"
 
-    @given(words())
+    @given(words(max_len=10))
     @settings(max_examples=60, deadline=None)
     def test_word_times_inverse_is_equal(self, w):
         assert order_sign(w * w.inverse()) is OrderSign.EQUAL
 
-    @given(words())
+    @given(words(max_len=10))
     @settings(max_examples=60, deadline=None)
     def test_sign_flips_under_inverse(self, w):
         flips = {

@@ -38,10 +38,8 @@ from .families import BTtau, FullTwists, Ktd, Torus, generate
 from .genus_bounds import (
     INPUTS,
     PREDICATES,
-    _fraction,
-    _integer,
+    _number,
     audit_bounds,
-    read_inputs,
     tau_s_bounds,
 )
 from .murasugi import (
@@ -120,21 +118,16 @@ def _cmd_bounds(args) -> None:
     w = parse_word(args.word, args.strands)
     components = closure_components(w)
     report: dict = {"strands": w.strands, "knot": components == 1}
-    inputs = {key: getattr(args, key) for key in INPUTS if getattr(args, key) is not None}
     if components == 1:
         report.update(tau_s_bounds(w))
-        # Adds floor, fdtc and predicates; strands is already there.
-        report.update(audit_bounds(w, predicates=args.predicates, cap=args.cap, **inputs))
         lines = [f"{key} in [{report[key][0]}, {report[key][1]}]" for key in ("tau", "s")]
-    elif inputs or args.predicates is not None:
-        read_inputs(inputs)  # a bad value is reported first, as audit_bounds does
-        raise ValueError("genus and concordance predicates need a knot closure")
     else:
-        r = fdtc_exact(w, cap=args.cap)
-        report.update(floor=r.floor, fdtc=r.value)
         lines = [f"closure has {components} components; tau/s bounds need a knot"]
+    inputs = {key: getattr(args, key) for key in INPUTS if getattr(args, key) is not None}
+    # Adds floor, fdtc and predicates; strands is already there.
+    report.update(audit_bounds(w, predicates=args.predicates, cap=args.cap, **inputs))
     lines += [f"floor {report['floor']}", f"fdtc {report['fdtc']}"]
-    for entry in report.get("predicates", ()):
+    for entry in report["predicates"]:
         detail = {k: str(v) for k, v in entry.items() if k not in ("predicate", "status")}
         lines.append(f"{entry['predicate']}: {entry['status']} {json.dumps(detail)}")
     _emit(args, report, "\n".join(lines))
@@ -200,27 +193,33 @@ def _audit_one(entry: dict, predicates, cap) -> dict:
     meta = {} if meta in (None, [], "") else meta  # null or an empty value is no meta
     if not isinstance(meta, dict):
         raise ValueError("meta must be a JSON object")
+    # Read before the engine runs, as audit_bounds reads its inputs.
+    expected = {key: _number(f"expected_{key}", meta[f"expected_{key}"], integral=key == "floor")
+                for key in ("floor", "fdtc") if f"expected_{key}" in meta}
     inputs = {key: meta[key] for key in INPUTS if key in meta}  # other keys are ignored
     record = audit_bounds(w, predicates=predicates, cap=cap, **inputs)
     record["word"] = list(w.letters)
-    expected = {}
-    for key, read in (("floor", _integer), ("fdtc", _fraction)):
-        if f"expected_{key}" in meta:
-            want = read(f"expected_{key}", meta[f"expected_{key}"])
-            expected[key] = {"want": want, "matched": record[key] == want}
     if expected:
-        record["expected"] = expected
+        record["expected"] = {key: {"want": want, "matched": record[key] == want}
+                              for key, want in expected.items()}
     return record
 
 
 def _entry(line: bytes):
     """The JSON value of one corpus line.  A line that is not UTF-8 fails
     here, alone, with the first byte that is not; so does a line that
-    nests too deeply."""
+    nests too deeply or holds an integer too long for int() to read."""
+    text = line.decode("utf-8")
     try:
-        return json.loads(line.decode("utf-8"))
+        return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nests too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refused a literal, as it does past sys.get_int_max_str_digits()
+        raise ValueError(
+            f"a JSON integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _cmd_audit(args) -> int:

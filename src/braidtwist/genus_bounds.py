@@ -4,11 +4,11 @@ tau_s_bounds reads off the writhe-based windows {"tau": (lo, hi),
 "s": (2*lo, 2*hi)} of a knot presented as a braid closure.  Every
 g3/g4 an audit reads is caller-supplied ground truth, never invented here.
 
-audit_bounds evaluates the floor and twist-coefficient inequalities a
-braid closure is expected to satisfy.  They are rows of one table, which
-names each predicate's inputs and the function that turns the inputs,
-the floor and BT into a verdict; PREDICATES lists the rows in table
-order:
+audit_bounds reports the floor and BT of any braid closure and evaluates
+the inequalities a knot closure is expected to satisfy.  They are rows
+of one table, which names each predicate's inputs and the function that
+turns the inputs, the floor and BT into a verdict; PREDICATES lists the
+rows in table order:
 
   ito         |floor| < (4*g3 - 2)/(n + 2) + 3/2  and  |BT| <= g3 + 2
   question15  |BT| <= 2*g4 + n - 2   (open question: failures are
@@ -21,8 +21,9 @@ order:
 INPUTS, a second table, names the five inputs the predicates read (g3,
 g4, g4_upper, finite_concordance_order, qp_length), each with its
 reader, which holds the whole check of a value: a genus must be a
-rational >= 0 of at most 4000 digits above and below the fraction bar,
-and qp_length an integer >= 1.  audit_bounds reads every value through
+rational >= 0 and qp_length an integer >= 1, each read by _number, the
+one number reader, which refuses more than 4000 digits above or below
+the fraction bar.  audit_bounds reads every value through
 it, whether a library caller supplies it or the CLI passes a bounds
 flag or corpus meta.
 """
@@ -30,6 +31,7 @@ flag or corpus meta.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -57,28 +59,41 @@ def tau_s_bounds(w: BraidWord) -> dict:
     return {"tau": (lo, hi), "s": (2 * lo, 2 * hi)}
 
 
-def _fraction(key: str, value) -> Fraction:
-    # Fraction() would read "1e10000000" by computing 10**10000000.
-    if type(value) is not str or (_plain(value) and "e" not in value.lower()):
-        try:
-            return Fraction(str(value))
-        except ZeroDivisionError:
-            raise ValueError(f"{key} has a zero denominator: {value!r}") from None
-        except ValueError:
-            pass
-    raise ValueError(f"{key} must be a rational number, got {json.dumps(value, default=repr)}")
+# A bound built from an input, such as 2*g4 + n - 2, must print, and Python
+# reads or writes no int of more than 4,300 digits as text.
+_LIMIT = 10**4000  # the smallest number of 4,001 digits
 
 
-def _integer(key: str, value) -> int:
-    # int() alone would truncate 1.5 and true to 1, and raise TypeError on null or [1].
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    if type(value) is str:
-        try:
-            return integer(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{key} must be an integer, got {json.dumps(value, default=repr)}")
+def _parse(value, integral: bool) -> Fraction | int:
+    """value as an int if integral, else as a Fraction; ValueError if it is not one."""
+    # int() alone would truncate 1.5 and true to 1, and Fraction() would read
+    # "1e10000000" by computing 10**10000000.
+    if type(value) is int or (integral and type(value) is float and value.is_integer()):
+        return int(value) if integral else Fraction(value)
+    if type(value) is str and _plain(value) and "e" not in value.lower():
+        return integer(value) if integral else Fraction(value)
+    if integral or type(value) is str:
+        raise ValueError(value)
+    return Fraction(str(value))  # a float as written: 0.1 is 1/10
+
+
+def _number(key: str, value, integral: bool = False) -> Fraction | int:
+    """The one reader of every number an audit reads.  One message, which
+    does not echo the value, refuses more than 4000 digits above or below
+    the fraction bar, however many more, in text or in a number."""
+    too_long = f"{key} must have at most 4000 digits above and below the fraction bar"
+    if type(value) is str and re.search(r"\d{4001}", value):
+        raise ValueError(too_long)
+    try:
+        number = _parse(value, integral)
+    except ZeroDivisionError:
+        raise ValueError(f"{key} has a zero denominator: {value!r}") from None
+    except ValueError:
+        kind = "an integer" if integral else "a rational number"
+        raise ValueError(f"{key} must be {kind}, got {json.dumps(value, default=repr)}") from None
+    if abs(number.numerator) >= _LIMIT or number.denominator >= _LIMIT:
+        raise ValueError(too_long)
+    return number
 
 
 def _boolean(key: str, value) -> bool | None:
@@ -90,22 +105,15 @@ def _boolean(key: str, value) -> bool | None:
     )
 
 
-# A genus must stay printable in every bound built from it, such as
-# 2*g4 + n - 2, and Python writes no int of more than 4,300 digits as text.
-_GENUS_LIMIT = 10**4000  # the smallest number of 4,001 digits
-
-
 def _genus(key: str, value) -> Fraction:
-    genus = _fraction(key, value)
-    if abs(genus.numerator) >= _GENUS_LIMIT or genus.denominator >= _GENUS_LIMIT:
-        raise ValueError(f"{key} must have at most 4000 digits above and below the fraction bar")
+    genus = _number(key, value)
     if genus < 0:
         raise ValueError(f"{key} must be nonnegative, got {genus}")
     return genus
 
 
 def _band_count(key: str, value) -> int:
-    m = _integer(key, value)
+    m = _number(key, value, integral=True)
     if m < 1:
         raise ValueError(f"{key} must be a positive band count, got {m}")
     return m
@@ -120,15 +128,6 @@ INPUTS = {
     "finite_concordance_order": _boolean,
     "qp_length": _band_count,
 }
-
-
-def read_inputs(supplied: dict) -> dict:
-    """Every INPUTS key, its value in supplied read by its reader, or None
-    if supplied lacks it; other keys of supplied are ignored."""
-    return {
-        key: read(key, supplied[key]) if key in supplied else None
-        for key, read in INPUTS.items()
-    }
 
 
 def _ito(values: dict, n: int, floor: int, bt: Fraction) -> tuple[str, dict]:
@@ -191,8 +190,9 @@ def audit_bounds(
     cap: int | None = None,
     **inputs,
 ) -> dict:
-    """Evaluate the bound predicates against the floor and BT of one fdtc_exact call.
+    """The floor and BT of one fdtc_exact call, and the predicates evaluated on them.
 
+    w may close to any link; only a requested predicate needs a knot.
     The inputs are INPUTS keywords, each read by its reader before
     anything else is checked, so the values accepted are those that
     `braidtwist audit` accepts in corpus meta.  None is an error except
@@ -201,7 +201,8 @@ def audit_bounds(
     qp_length below 1, is refused whatever predicates requests.
     With predicates=None, every predicate whose inputs were supplied is
     evaluated; explicitly requesting one without its inputs is an error.
-    Every input is validated before the floor and BT are computed.
+    Every input is validated, and a link with a predicate requested is
+    refused, before the floor and BT are computed.
     question15 failures are flagged counterexample-candidate rather than
     fail: the bound is an open question, and a braid violating it is a
     discovery to report, not a broken invariant.
@@ -209,9 +210,8 @@ def audit_bounds(
     unknown = sorted(inputs.keys() - INPUTS.keys())
     if unknown:
         raise TypeError(f"audit_bounds() got an unexpected keyword argument {unknown[0]!r}")
-    values = read_inputs(inputs)
-    if closure_components(w) != 1:
-        raise ValueError("closure is not a knot")
+    values = {key: read(key, inputs[key]) if key in inputs else None
+              for key, read in INPUTS.items()}
     supplied = [
         name for name, p in _TABLE.items() if any(values[k] is not None for k in p.inputs)
     ]
@@ -219,6 +219,8 @@ def audit_bounds(
     for name in requested:
         if name not in _TABLE:
             raise ValueError(f"unknown predicate {name!r}")
+    if requested and closure_components(w) != 1:
+        raise ValueError("genus and concordance predicates need a knot closure")
     # Table order, not request order: the first missing input reported for
     # a request does not depend on how the request lists its predicates.
     for name, p in _TABLE.items():
@@ -228,12 +230,7 @@ def audit_bounds(
     n = w.strands
     result = fdtc_exact(w, cap=cap)  # one search: BT and the certified floor
     floor, bt = result.floor, result.value
-    record: dict = {
-        "strands": n,
-        "floor": floor,
-        "fdtc": bt,
-        "predicates": [],
-    }
+    record: dict = {"strands": n, "floor": floor, "fdtc": bt, "predicates": []}
     for name in requested:
         status, details = _TABLE[name].evaluate(values, n, floor, bt)
         record["predicates"].append({"predicate": name, "status": status, **details})

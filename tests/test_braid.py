@@ -387,6 +387,15 @@ class TestLetterBudget:
                 garside_delta(n, squared=squared)
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_a_budget_of_one_full_twist(self, monkeypatch, n):
+        """With the budget at the n(n-1) letters of Delta^2 on n strands,
+        fdtc_exact works on n strands and refuses n + 1 before it starts."""
+        monkeypatch.setattr(braid, "DEFAULT_STEP_CAP", n * (n - 1))
+        assert fdtc.fdtc_exact(BraidWord(n, [1])).value == 0
+        with pytest.raises(ValueError, match=f"Delta\\^2 on {n + 1} strands would have"):
+            fdtc.fdtc_exact(BraidWord(n + 1, [1]))
+
 
 class TestDetectDestabilizable:
     def test_single_positive_top_generator(self):

@@ -17,7 +17,7 @@ import braidtwist.genus_bounds as genus_bounds
 import braidtwist.quasipositive as quasipositive
 from braidtwist import BraidWord, format_word
 from braidtwist.braid import integer
-from braidtwist.fdtc import FLOOR_CONVENTION, dehornoy_floor, fdtc_exact
+from braidtwist.fdtc import FLOOR_CONVENTION, dehornoy_floor
 from braidtwist.genus_bounds import audit_bounds, tau_s_bounds
 from braidtwist.cli import run
 
@@ -224,8 +224,7 @@ BANDS = quasipositive.parse_syllables("2 | 1 | +; | 2 | +", 3)
      lambda: {"strands": 3, "knot": True, **tau_s_bounds(KNOT),
               **audit_bounds(KNOT, g3="3", g4="3")}),
     (["bounds", "--strands", "3", "1 1"],
-     lambda: {"strands": 3, "knot": False, "floor": fdtc_exact(LINK).floor,
-              "fdtc": fdtc_exact(LINK).value}),
+     lambda: {"strands": 3, "knot": False, **audit_bounds(LINK)}),
     (["qp", "--strands", "3", "2 | 1 | +; | 2 | +"],
      lambda: {"strands": 3, **quasipositive.qp_report(BANDS),
               "expanded": format_word(BANDS.word)}),
@@ -360,7 +359,29 @@ class TestAuditCommand:
         path = self.corpus(tmp_path, '{"n": 1000000000, "word": [1]}\n')
         assert run(["audit", "--json", path]) == 1
         out = [json.loads(line) for line in lines(capsys)]
-        assert out[0] == {"line": 1, "error": "closure is not a knot"}
+        message = "Delta^2 on 1000000000 strands would have 999999999000000000 letters"
+        assert out[0] == {"line": 1, "error": f"{message}, more than 10000000"}
+
+    @pytest.mark.parametrize("meta", [{"expected_fdtc": "x", "g3": 1},
+                                      {"expected_floor": 0.5}, {"expected_fdtc": "9" * 5000}])
+    def test_expected_values_are_read_before_the_engine_runs(self, tmp_path, capsys,
+                                                            monkeypatch, meta):
+        calls = count_calls(monkeypatch, "fdtc_exact", cli, genus_bounds)
+        path = self.corpus(tmp_path, json.dumps({"n": 3, "word": [1, 2], "meta": meta}) + "\n")
+        assert run(["audit", "--json", path]) == 1
+        assert "expected_f" in json.loads(lines(capsys)[0])["error"]
+        assert calls == []
+
+    def test_link_line_without_inputs_is_audited(self, tmp_path, capsys):
+        """A link gets its floor and FDTC; only a requested predicate needs a knot."""
+        path = self.corpus(tmp_path, '{"n": 3, "word": [1, 1], "meta": {"expected_fdtc": 0}}\n'
+                                     '{"n": 3, "word": [1, 1], "meta": {"g3": 1}}\n')
+        assert run(["audit", "--json", path]) == 1
+        link, refused = [json.loads(line) for line in lines(capsys)[:2]]
+        assert link == {"line": 1, **json.loads(json.dumps(audit_bounds(LINK), default=str)),
+                        "word": [1, 1], "expected": {"fdtc": {"want": "0", "matched": True}}}
+        assert refused == {"line": 2,
+                           "error": "genus and concordance predicates need a knot closure"}
 
     def test_record_too_long_to_print_is_an_error_record(self, tmp_path, capsys):
         """A g4 of 4,300 nines would give question15 a bound 2*g4 + n - 2

@@ -155,8 +155,18 @@ class TestAuditBounds:
             audit_bounds(w, predicates=["genus"])
 
     def test_rejects_links(self):
-        with pytest.raises(ValueError, match="not a knot"):
-            audit_bounds(garside_delta(3, squared=True), g3=1)
+        """A link is refused once a predicate is requested, by its inputs
+        or by name."""
+        message = "^genus and concordance predicates need a knot closure$"
+        for kwargs in ({"g3": 1}, {"predicates": ["slice3"]}):
+            with pytest.raises(ValueError, match=message):
+                audit_bounds(garside_delta(3, squared=True), **kwargs)
+
+    @pytest.mark.parametrize("predicates", [None, []])
+    def test_audits_a_link_with_no_predicate(self, predicates):
+        """The floor and BT are defined for every closure, a link too."""
+        record = audit_bounds(garside_delta(3, squared=True), predicates=predicates)
+        assert record == {"strands": 3, "floor": 1, "fdtc": 1, "predicates": []}
 
     def test_one_floor_search_per_line(self, monkeypatch):
         """The floor and BT come from one fdtc_exact call, so one search."""

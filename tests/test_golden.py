@@ -97,6 +97,15 @@ for _name, _line in {
     "deep_nesting": "[" * 100000,
     "huge_index": '{"n": 1004327203549560832000, "word": [3387215635]}',
     "g3_exponent": '{"n": 3, "word": [1, 2], "meta": {"g3": "1e10000000"}}',
+    # Numbers longer than Python reads as text: refused by the digit limit,
+    # and not echoed.
+    "qp_length_5000_digits":
+        f'{{"n": 3, "word": [1, 2], "meta": {{"qp_length": "{"9" * 5000}"}}}}',
+    "expected_fdtc_5000_digits":
+        f'{{"n": 3, "word": [1, 2], "meta": {{"expected_fdtc": "{"9" * 5000}"}}}}',
+    "expected_floor_5000_digits":
+        f'{{"n": 3, "word": [1, 2], "meta": {{"expected_floor": "-{"9" * 5000}"}}}}',
+    "json_integer_5000_digits": f'{{"n": 3, "word": [1, 2], "meta": {{"g3": {"9" * 5000}}}}}',
 }.items():
     _case(f"audit_{_name}", ["audit", "{corpus}"], _line + "\n" + _GOOD_LINE)
 
@@ -138,6 +147,9 @@ _case("bounds_g4_non_ascii_digit", ["bounds", "--strands", "3", KNOT, "--g4", "\
 # An exponent, which Fraction() would read by computing 10**10000000.
 _case("bounds_g3_exponent", ["bounds", "--strands", "3", KNOT, "--g3", "1e10000000"])
 _case("bounds_g4_oversized", ["bounds", "--strands", "3", KNOT, "--g4", _NINES])
+_case("bounds_g4_5000_digits", ["bounds", "--strands", "3", KNOT, "--g4", "9" * 5000])
+_case("bounds_qp_length_5000_digits", ["bounds", "--strands", "3", KNOT, "--qp-length",
+                                       "9" * 5000])
 _case("bounds_link", ["bounds", "--strands", "3", "1 1"])
 _case("bounds_link_with_g3", ["bounds", "--strands", "3", "1 1", "--g3", "1"])
 _case("bounds_link_with_predicates", ["bounds", "--strands", "3", "1 1", "--predicates", ""])

@@ -1,4 +1,4 @@
-"""Boundary mutants of the engine, each killed by the test it names.
+"""Boundary mutants of the engine and the audit, each killed by the test it names.
 
 Each row is (module, old text, new text, killer test node).  The test
 copies src/braidtwist, replaces the one occurrence of the old text in the
@@ -39,9 +39,12 @@ MUTANTS = [
     # A quasipositive twist window claimed on 2 strands.
     ("quasipositive.py", "if strands >= 3", "if strands >= 2",
      "test_quasipositive.py::TestCheckBound::test_needs_three_strands"),
-    # A Delta^2 letter count of n(n+1), which misstates the refused length.
+    # A Delta^2 letter count of n(n+1), which refuses a full twist that fits the budget.
     ("fdtc.py", "n * (n - 1))", "n * (n + 1))",
-     "test_braid.py::TestLetterBudget::test_oversized_strand_count_is_refused[full_twist_from]"),
+     "test_braid.py::TestLetterBudget::test_a_budget_of_one_full_twist"),
+    # A link audited with predicates that need a knot.
+    ("genus_bounds.py", "if requested and closure_components(w) != 1:", "if False:",
+     "test_genus_bounds.py::TestAuditBounds::test_rejects_links"),
 ]
 
 
